@@ -1,14 +1,20 @@
-// Unit tests for the tools/analysis/ symbol/field model that backs cmrace
-// and cmlife: capture-list classification, class/field extraction with
-// CM_GUARDED_BY cross-referencing, declaration classification, lock-scope
-// discovery, suppression-marker parsing, and the lifetime model (type
-// ownership, function/local extraction, std::move and loop tracking). The
+// Unit tests for the tools/analysis/ library behind cmcheck: the symbol/
+// field model the race and life families use (capture-list classification,
+// class/field extraction with CM_GUARDED_BY cross-referencing, declaration
+// classification, lock-scope discovery, suppression-marker parsing, the
+// lifetime model's type ownership, function/local extraction, std::move and
+// loop tracking), whole-word search, and the allowlist/report plumbing. The
 // model is token-level by design; these tests pin the conventions it must
 // understand in this codebase's style.
 
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "analysis/findings.h"
 #include "analysis/source.h"
 #include "analysis/symbols.h"
 #include "analysis/text.h"
@@ -390,6 +396,87 @@ TEST(SuppressionTest, MarkerOnLineOrLineAboveSuppresses) {
       analysis::HasSuppressionNear(file.raw_lines, 4, "cmrace: order-ok"));
   EXPECT_FALSE(
       analysis::HasSuppressionNear(file.raw_lines, 1, "cmrace: alloc-ok"));
+}
+
+// ---- FindWord --------------------------------------------------------------
+
+TEST(FindWordTest, WholeWordsStartingBeforeTheLimit) {
+  const std::string text = "newer new renew new";
+  EXPECT_EQ(analysis::FindWord(text, "new"), 6u);
+  EXPECT_EQ(analysis::FindWord(text, "new", 7), 16u);
+  EXPECT_EQ(analysis::FindWord(text, "new", 7, 16), std::string::npos);
+}
+
+// ---- Allowlist and report plumbing -----------------------------------------
+
+TEST(AllowlistTest, SkipsCommentsBlankLinesAndTrailingWhitespace) {
+  const std::filesystem::path path =
+      std::filesystem::path(testing::TempDir()) / "analysis_test_allow.txt";
+  std::ofstream(path) << "# grandfathered exceptions\n"
+                          "\n"
+                          "   \n"
+                          "banned-call:src/a.cc   # why\n"
+                          "layering:src/b.h \t\r\n"
+                          "# nodiscard:src/c.h\n";
+  bool ok = false;
+  const std::set<std::string> allow = analysis::LoadAllowlist(path, &ok);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(allow, (std::set<std::string>{"banned-call:src/a.cc",
+                                          "layering:src/b.h"}));
+}
+
+TEST(AllowlistTest, UnreadableFileFailsAndEmptyPathIsEmpty) {
+  bool ok = true;
+  EXPECT_TRUE(analysis::LoadAllowlist(
+                  std::filesystem::path(testing::TempDir()) / "no_such.txt",
+                  &ok)
+                  .empty());
+  EXPECT_FALSE(ok);
+  EXPECT_TRUE(analysis::LoadAllowlist(std::filesystem::path(), &ok).empty());
+  EXPECT_TRUE(ok);
+}
+
+TEST(AllowlistTest, CountsSuppressedFindingsAndListsStaleEntries) {
+  const std::vector<analysis::Finding> findings = {
+      {"banned-call", "src/a.cc", 3, "m", ""},
+      {"banned-call", "src/a.cc", 9, "m", ""},
+      {"layering", "src/b.h", 2, "m", ""},
+  };
+  const analysis::FilteredFindings out = analysis::ApplyAllowlist(
+      findings, {"banned-call:src/a.cc", "nodiscard:src/c.h"});
+  ASSERT_EQ(out.reported.size(), 1u);
+  EXPECT_EQ(out.reported[0].rule, "layering");
+  EXPECT_EQ(out.suppressed, 2u);
+  EXPECT_EQ(out.stale, std::vector<std::string>{"nodiscard:src/c.h"});
+}
+
+TEST(ReportTest, TextPrintsFileLineRuleMessageAndFixLine) {
+  std::ostringstream out;
+  analysis::PrintFindings({{"layering", "src/g.cc", 4, "up", "move it"},
+                           {"include-guard", "src/a.h", 1, "no guard", ""}},
+                          out);
+  EXPECT_EQ(out.str(),
+            "src/g.cc:4: [layering] up\n  fix: move it\n"
+            "src/a.h:1: [include-guard] no guard\n");
+}
+
+TEST(ReportTest, JsonEscapesQuotesBackslashesAndControlCharacters) {
+  std::ostringstream out;
+  analysis::PrintFindingsJson(
+      "cmcheck",
+      {{"r", "src/a.cc", 7, "say \"hi\" \\ now\n\tx\x01\x1f", "fix \"it\""}},
+      out);
+  EXPECT_EQ(out.str(),
+            "{\n  \"tool\": \"cmcheck\",\n  \"count\": 1,\n  \"findings\": [\n"
+            "    {\"rule\": \"r\", \"file\": \"src/a.cc\", \"line\": 7, "
+            "\"message\": \"say \\\"hi\\\" \\\\ now\\n\\tx\\u0001\\u001f\", "
+            "\"fix_hint\": \"fix \\\"it\\\"\"}\n  ]\n}\n");
+
+  std::ostringstream empty;
+  analysis::PrintFindingsJson("cmcheck", {}, empty);
+  EXPECT_EQ(empty.str(),
+            "{\n  \"tool\": \"cmcheck\",\n  \"count\": 0,\n  \"findings\": []\n"
+            "}\n");
 }
 
 }  // namespace

@@ -47,14 +47,11 @@ FilteredFindings ApplyAllowlist(const std::vector<Finding>& findings,
   return out;
 }
 
-void PrintFindings(const std::vector<Finding>& findings, bool fix_hints,
-                   std::ostream& out) {
+void PrintFindings(const std::vector<Finding>& findings, std::ostream& out) {
   for (const Finding& f : findings) {
     out << f.file << ":" << f.line << ": [" << f.rule << "] " << f.message
         << "\n";
-    if (fix_hints && !f.fix_hint.empty()) {
-      out << "  fix: " << f.fix_hint << "\n";
-    }
+    if (!f.fix_hint.empty()) out << "  fix: " << f.fix_hint << "\n";
   }
 }
 

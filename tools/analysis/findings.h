@@ -1,8 +1,7 @@
-// Finding, allowlist, and report plumbing shared by the static-analysis
-// tools. A Finding is one rule violation at one source location; the
-// reporting layer handles per-file allowlisting (rule:path keys), stale
-// allowlist-entry notes, and both human-readable and machine-readable
-// (JSON) output.
+// Finding, allowlist, and report plumbing for the cmcheck driver. A Finding
+// is one rule violation at one source location; the reporting layer handles
+// per-file allowlisting (rule:path keys), stale allowlist-entry notes, and
+// both human-readable and machine-readable (JSON) output.
 
 #ifndef CROSSMODAL_TOOLS_ANALYSIS_FINDINGS_H_
 #define CROSSMODAL_TOOLS_ANALYSIS_FINDINGS_H_
@@ -21,8 +20,8 @@ struct Finding {
   std::string file;  ///< Path relative to the analysis root.
   int line = 0;
   std::string message;
-  /// Exact suppression line for --fix-hints mode; empty when the rule has
-  /// no in-source suppression (e.g. layering, which is fixed in LAYERS).
+  /// Suggested fix (often the exact suppression line to add), printed as a
+  /// `fix:` line; empty when the rule has none.
   std::string fix_hint;
 };
 
@@ -43,10 +42,9 @@ struct FilteredFindings {
 FilteredFindings ApplyAllowlist(const std::vector<Finding>& findings,
                                 const std::set<std::string>& allow);
 
-/// `file:line: [rule] message` per finding; with `fix_hints`, a follow-up
-/// `fix:` line showing the exact suppression to add.
-void PrintFindings(const std::vector<Finding>& findings, bool fix_hints,
-                   std::ostream& out);
+/// `file:line: [rule] message` per finding, followed by a `fix:` line when
+/// the finding carries a fix hint.
+void PrintFindings(const std::vector<Finding>& findings, std::ostream& out);
 
 /// Machine-readable report: a JSON object with `tool`, `findings` (array of
 /// {rule, file, line, message, fix_hint}), and `count`.

@@ -1,4 +1,4 @@
-// Whole-repo #include graph for cmdeps' architectural rules.
+// Whole-repo #include graph for the cmcheck deps family's layering rules.
 //
 // Every quoted `#include "..."` in the scanned tree becomes a file-level
 // edge; edges whose target resolves to a library module under src/ are

@@ -1,5 +1,5 @@
 // Declarative layering spec (the repo-root LAYERS file) and the checks
-// cmdeps runs against the module include graph.
+// the cmcheck deps family runs against the module include graph.
 //
 // Spec grammar (plain text, '#' comments):
 //

@@ -19,14 +19,6 @@ bool ReadFileToString(const fs::path& path, std::string* out) {
   return true;
 }
 
-bool WriteFileString(const fs::path& path, const std::string& content) {
-  std::error_code ec;
-  if (path.has_parent_path()) fs::create_directories(path.parent_path(), ec);
-  std::ofstream out(path, std::ios::binary);
-  out << content;
-  return static_cast<bool>(out);
-}
-
 bool LoadSourceFile(const fs::path& path, const std::string& rel,
                     SourceFile* out) {
   std::string text;

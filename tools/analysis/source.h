@@ -24,10 +24,6 @@ struct SourceFile {
 /// Reads `path` into `*out`; false on IO error.
 bool ReadFileToString(const std::filesystem::path& path, std::string* out);
 
-/// Writes `content` to `path`, creating parent directories; false on error.
-bool WriteFileString(const std::filesystem::path& path,
-                     const std::string& content);
-
 /// Loads one file and builds the stripped views. `rel` is the path used in
 /// findings. False on IO error.
 bool LoadSourceFile(const std::filesystem::path& path, const std::string& rel,
@@ -41,8 +37,8 @@ std::vector<std::filesystem::path> ListSourceFiles(
     const std::vector<std::string>& subdirs);
 
 /// True when `marker` appears in the raw source on `line` (1-based) or the
-/// line above it — the suppression-comment convention shared by cmlint and
-/// cmdeps.
+/// line above it — the suppression-comment convention shared by every
+/// cmcheck rule family.
 bool HasSuppressionNear(const std::vector<std::string>& raw_lines, int line,
                         const char* marker);
 

@@ -31,21 +31,8 @@ std::string CollapseSpaces(const std::string& s) {
   return out;
 }
 
-size_t FindWholeWord(const std::string& text, const std::string& word,
-                     size_t from = 0) {
-  size_t pos = from;
-  while ((pos = text.find(word, pos)) != std::string::npos) {
-    const bool left_ok = pos == 0 || !IsIdentChar(text[pos - 1]);
-    const size_t end = pos + word.size();
-    const bool right_ok = end >= text.size() || !IsIdentChar(text[end]);
-    if (left_ok && right_ok) return pos;
-    pos = end;
-  }
-  return std::string::npos;
-}
-
 bool ContainsWord(const std::string& text, const std::string& word) {
-  return FindWholeWord(text, word) != std::string::npos;
+  return FindWord(text, word) != std::string::npos;
 }
 
 bool IsKeywordToken(const std::string& t) {
@@ -273,7 +260,7 @@ void ProcessFieldStatement(const std::string& text, size_t stmt_start,
     return;
   }
   ClassifyTypeText(field.type, &field);
-  const size_t rel_pos = FindWholeWord(raw_stmt, field.name);
+  const size_t rel_pos = FindWord(raw_stmt, field.name);
   field.line = LineOfOffset(
       text, stmt_start + (rel_pos == std::string::npos ? 0 : rel_pos));
   cls->fields.push_back(field);
@@ -299,7 +286,7 @@ MethodInfo BuildInlineMethod(const std::string& text, size_t stmt_start,
       close == std::string::npos ? "" : Trim(stmt.substr(close + 1));
   method.is_structor = name == cls.name || name == "~" + cls.name;
   const std::string bare = name[0] == '~' ? name.substr(1) : name;
-  const size_t rel_pos = FindWholeWord(stmt, bare);
+  const size_t rel_pos = FindWord(stmt, bare);
   method.line = LineOfOffset(
       text, stmt_start + (rel_pos == std::string::npos ? 0 : rel_pos));
   return method;
@@ -681,7 +668,7 @@ DeclClass ClassifyDeclaration(const std::string& stripped_text,
   DeclClass result;
   const std::string& text = stripped_text;
   size_t pos = 0;
-  while ((pos = FindWholeWord(text, name, pos)) != std::string::npos) {
+  while ((pos = FindWord(text, name, pos)) != std::string::npos) {
     const size_t end = pos + name.size();
     const size_t nx = SkipWhitespace(text, end);
     const char nc = nx < text.size() ? text[nx] : '\0';
@@ -861,7 +848,7 @@ std::vector<LockScope> CollectLockScopes(const std::string& text, size_t begin,
   const size_t limit = std::min(end, text.size());
   for (const char* guard : kGuardTypes) {
     size_t pos = begin;
-    while ((pos = FindWholeWord(text, guard, pos)) != std::string::npos) {
+    while ((pos = FindWord(text, guard, pos)) != std::string::npos) {
       const size_t tok_end = pos + std::string(guard).size();
       pos = tok_end;
       if (pos >= limit) break;

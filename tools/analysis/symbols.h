@@ -1,6 +1,6 @@
 // Lightweight C++ symbol/field model for the static-analysis tools.
 //
-// cmrace's rules need facts a single regex cannot carry: which classes own
+// The race rules need facts a single regex cannot carry: which classes own
 // a Mutex, which fields carry CM_GUARDED_BY and with which capability, what
 // a lambda's capture list says about a written name, whether a declaration
 // is const / std::atomic. This module extracts those facts from the same
@@ -132,7 +132,7 @@ std::vector<LockScope> CollectLockScopes(const std::string& text,
                                          size_t begin, size_t end);
 
 // ---------------------------------------------------------------------------
-// Lifetime model (cmlife): function bodies, local scopes, view/ownership
+// Lifetime model (life rules): function bodies, local scopes, view/ownership
 // classification of spelled types, and std::move tracking. Token-level like
 // everything above: good enough to cross-reference names within this
 // codebase's style, conservative where real C++ would need full semantics.

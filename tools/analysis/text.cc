@@ -129,6 +129,21 @@ bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
+size_t FindWord(const std::string& text, const std::string& word,
+                size_t from, size_t limit) {
+  limit = std::min(limit, text.size());
+  size_t pos = from;
+  while (pos < limit && (pos = text.find(word, pos)) != std::string::npos &&
+         pos < limit) {
+    const bool left_ok = pos == 0 || !IsIdentChar(text[pos - 1]);
+    const size_t end = pos + word.size();
+    const bool right_ok = end >= text.size() || !IsIdentChar(text[end]);
+    if (left_ok && right_ok) return pos;
+    pos = end;
+  }
+  return std::string::npos;
+}
+
 size_t SkipWhitespace(const std::string& text, size_t pos) {
   while (pos < text.size() &&
          std::isspace(static_cast<unsigned char>(text[pos]))) {

@@ -1,5 +1,5 @@
-// Token-level C++ text utilities shared by the repo's static-analysis
-// tools (tools/cmlint.cc, tools/cmdeps.cc).
+// Token-level C++ text utilities shared by the cmcheck rule families
+// (tools/cmcheck/) and the analysis library itself.
 //
 // None of this is a real parser: the tools work on "stripped" text where
 // comments and string/char literals are blanked to spaces (layout
@@ -46,6 +46,11 @@ size_t SkipTemplateArgs(const std::string& text, size_t open);
 
 /// True when `c` can appear in a C++ identifier.
 bool IsIdentChar(char c);
+
+/// Offset of the first whole-word occurrence of `word` starting in
+/// text[from, limit), or npos.
+size_t FindWord(const std::string& text, const std::string& word,
+                size_t from = 0, size_t limit = std::string::npos);
 
 /// Offset of the first non-whitespace character at or after `pos`, or
 /// text.size().

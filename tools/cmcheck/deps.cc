@@ -1,10 +1,9 @@
-// cmdeps: whole-repo architecture & dataflow static analyzer.
+// deps family: whole-repo architecture & dataflow rules.
 //
-// cmlint checks conventions a single file can prove; cmdeps checks the
-// contracts that only exist *between* files: the module layering, and the
-// error-handling / locking discipline whose facts (a callee's return type,
-// a lock's extent) live in another translation unit. Built on the shared
-// tools/analysis/ scanning library.
+// The lint family checks conventions a single file can prove; these rules
+// check the contracts that only exist *between* files: the module layering,
+// and the error-handling / locking discipline whose facts (a callee's return
+// type, a lock's extent) live in another translation unit.
 //
 // Rules:
 //
@@ -23,7 +22,8 @@
 //                   in src/ — returns Status or Result<T>, where the result
 //                   is dropped: a bare call statement, a `(void)` cast, or
 //                   an assignment to a local that is never read again in
-//                   its scope. Suppress a provably-safe drop with
+//                   its scope. Runs on src/, tools/ and examples/. Suppress
+//                   a provably-safe drop with
 //                   `// cmdeps: status-ok — <reason>`.
 //   blocking-under-lock
 //                   a blocking operation — FeatureService::Call, artifact
@@ -31,39 +31,23 @@
 //                   ThreadPool::Submit / ParallelFor / ParallelMap —
 //                   between a MutexLock construction and the end of its
 //                   scope, or inside a function annotated CM_REQUIRES
-//                   (which executes under a caller-held lock). Suppress
-//                   with `// cmdeps: blocking-ok — <reason>`.
-//
-// Usage:
-//   cmdeps --root <repo-root> [--layers FILE] [--allowlist FILE]
-//          [--json] [--fix-hints]
-//   cmdeps --check-layers FILE          parse/validate a LAYERS spec
-//   cmdeps --self-test --testdata DIR   verify every rule on the seeded
-//                                       fixtures in tools/analysis/testdata
-//
-// Exit status: 0 clean, 1 findings, 2 usage or I/O error.
+//                   (which executes under a caller-held lock). Runs on src/
+//                   and tools/. Suppress with
+//                   `// cmdeps: blocking-ok — <reason>`.
 
-#include <algorithm>
-#include <filesystem>
-#include <iostream>
 #include <map>
 #include <regex>
 #include <set>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "analysis/findings.h"
 #include "analysis/include_graph.h"
-#include "analysis/layers.h"
-#include "analysis/source.h"
 #include "analysis/text.h"
-
-namespace fs = std::filesystem;
+#include "cmcheck/families.h"
 
 using analysis::Finding;
 using analysis::IncludeGraph;
-using analysis::LayerSpec;
 using analysis::SourceFile;
 
 namespace {
@@ -417,44 +401,14 @@ void CheckBlockingUnderLock(const SourceFile& file,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Tree analysis driver.
-// ---------------------------------------------------------------------------
+}  // namespace
 
-struct AnalyzeOptions {
-  fs::path root;
-  fs::path layers;     ///< Defaults to <root>/LAYERS.
-  fs::path allowlist;  ///< Optional rule:path allowlist.
-};
+namespace cmcheck {
 
-/// Runs every rule over the tree. Returns 2 on infrastructure errors
-/// (unreadable spec), otherwise 0 with findings appended.
-int AnalyzeTree(const AnalyzeOptions& options,
-                std::vector<Finding>* findings, std::ostream& diag) {
-  LayerSpec spec;
-  std::string error;
-  if (!analysis::LoadLayerSpec(options.layers.string(), &spec, &error)) {
-    diag << "cmdeps: " << error << "\n";
-    return 2;
-  }
-
-  const std::vector<std::string> kSubdirs = {"src", "tools", "tests", "bench",
-                                             "examples"};
-  std::vector<SourceFile> files;
-  for (const fs::path& path :
-       analysis::ListSourceFiles(options.root, kSubdirs)) {
-    SourceFile file;
-    const std::string rel =
-        fs::relative(path, options.root).generic_string();
-    if (!analysis::LoadSourceFile(path, rel, &file)) {
-      diag << "cmdeps: cannot read " << rel << "\n";
-      return 2;
-    }
-    files.push_back(std::move(file));
-  }
-
+void CheckDeps(const Tree& tree, std::vector<Finding>* findings) {
+  const std::vector<SourceFile>& files = tree.files;
   const IncludeGraph graph = analysis::BuildIncludeGraph(files);
-  for (Finding& f : analysis::CheckLayering(graph, spec)) {
+  for (Finding& f : analysis::CheckLayering(graph, tree.layers)) {
     findings->push_back(std::move(f));
   }
   CheckPureUtil(graph, findings);
@@ -470,279 +424,6 @@ int AnalyzeTree(const AnalyzeOptions& options,
     }
     if (is_src || is_tool) CheckBlockingUnderLock(file, findings);
   }
-  return 0;
 }
 
-// ---------------------------------------------------------------------------
-// Self-test over the seeded fixture trees in tools/analysis/testdata/.
-// ---------------------------------------------------------------------------
-
-int SelfTest(const fs::path& testdata) {
-  int failures = 0;
-  auto expect = [&failures](bool cond, const std::string& what) {
-    if (!cond) {
-      std::cout << "self-test FAIL: " << what << "\n";
-      ++failures;
-    }
-  };
-
-  // ---- Spec parsing (the LAYERS grammar gate). ---------------------------
-  {
-    LayerSpec spec;
-    std::string error;
-    expect(analysis::ParseLayerSpec(
-               "[layers]\n0: util\n1: io serving\n[allow]\nio -> serving\n",
-               &spec, &error),
-           "well-formed spec parses (" + error + ")");
-    expect(spec.level.at("serving") == 1, "spec assigns levels");
-    expect(spec.allowed.count({"io", "serving"}) == 1,
-           "spec records [allow] edges");
-    expect(!analysis::ParseLayerSpec("[layers]\n0: util\n1: util\n", &spec,
-                                     &error),
-           "duplicate module rejected");
-    expect(!analysis::ParseLayerSpec("0: util\n", &spec, &error),
-           "content before any section rejected");
-    expect(!analysis::ParseLayerSpec("[layers]\nx: util\n", &spec, &error),
-           "non-numeric level rejected");
-    expect(!analysis::ParseLayerSpec(
-               "[layers]\n0: util\n[allow]\nutil -> ghost\n", &spec, &error),
-           "[allow] naming an undeclared module rejected");
-  }
-
-  // Runs one fixture tree and returns its findings as "rule:file:line"
-  // strings plus the raw findings for message checks.
-  struct CaseResult {
-    std::vector<Finding> findings;
-    std::set<std::string> keys;
-    bool ok = false;
-  };
-  auto run_case = [&testdata](const std::string& name) {
-    CaseResult result;
-    AnalyzeOptions options;
-    options.root = testdata / name;
-    options.layers = options.root / "LAYERS";
-    std::ostringstream diag;
-    result.ok = AnalyzeTree(options, &result.findings, diag) == 0;
-    for (const Finding& f : result.findings) {
-      result.keys.insert(f.rule + ":" + f.file + ":" + std::to_string(f.line));
-    }
-    return result;
-  };
-
-  // ---- clean: a conforming mini-tree produces zero findings. -------------
-  {
-    const CaseResult r = run_case("clean");
-    expect(r.ok, "clean fixture analyzable");
-    expect(r.findings.empty(),
-           "clean fixture has no findings (got " +
-               std::to_string(r.findings.size()) + ")");
-  }
-
-  // ---- layering: the artificially added upward include is rejected, the
-  // same-layer cycle is caught, downward/same-layer edges pass. -----------
-  {
-    const CaseResult r = run_case("layering");
-    expect(r.ok, "layering fixture analyzable");
-    expect(r.keys.count("layering:src/graph/g.cc:4") == 1,
-           "upward include (graph -> core) rejected");
-    bool cycle = false, chain = false;
-    for (const Finding& f : r.findings) {
-      if (f.message.find("include cycle") != std::string::npos) {
-        cycle = true;
-        if (f.message.find("labeling -> mining") != std::string::npos &&
-            f.message.find("mining -> labeling") != std::string::npos) {
-          chain = true;
-        }
-      }
-    }
-    expect(cycle, "same-layer include cycle detected");
-    expect(chain, "cycle report prints the offending include chain");
-    expect(r.keys.count("layering:src/core/pipe.h:3") == 0,
-           "downward include not flagged");
-    expect(r.findings.size() == 2,
-           "layering fixture yields exactly the 2 seeded findings (got " +
-               std::to_string(r.findings.size()) + ")");
-  }
-
-  // ---- layering_allow: the same upward edge passes once [allow]ed. -------
-  {
-    const CaseResult r = run_case("layering_allow");
-    expect(r.ok, "layering_allow fixture analyzable");
-    expect(r.findings.empty(),
-           "[allow]ed upward edge suppressed (got " +
-               std::to_string(r.findings.size()) + ")");
-  }
-
-  // ---- pure_util: util/ reaching above itself is rejected. ---------------
-  {
-    const CaseResult r = run_case("pure_util");
-    expect(r.ok, "pure_util fixture analyzable");
-    expect(r.keys.count("layer-pure-util:src/util/bad.cc:2") == 1,
-           "util including io/ rejected");
-    bool good_flagged = false;
-    for (const Finding& f : r.findings) {
-      if (f.file == "src/util/good.cc") good_flagged = true;
-    }
-    expect(!good_flagged, "util including util/ not flagged");
-  }
-
-  // ---- unchecked_status: three drop shapes fire; suppressed + consumed
-  // uses stay quiet. -------------------------------------------------------
-  {
-    const CaseResult r = run_case("unchecked_status");
-    expect(r.ok, "unchecked_status fixture analyzable");
-    expect(r.keys.count("unchecked-status:src/io/use.cc:8") == 1,
-           "bare dropped call detected");
-    expect(r.keys.count("unchecked-status:src/io/use.cc:9") == 1,
-           "(void)-cast Status detected");
-    expect(r.keys.count("unchecked-status:src/io/use.cc:12") == 1,
-           "never-read Status local detected");
-    expect(r.keys.count("unchecked-status:src/io/use.cc:13") == 1,
-           "never-read auto Result local detected");
-    for (const Finding& f : r.findings) {
-      expect(f.file != "src/io/use.cc" ||
-                 (f.line != 17 && f.line != 21 && f.line != 22 && f.line != 26),
-             "suppressed/consumed use flagged at line " +
-                 std::to_string(f.line));
-    }
-    expect(r.keys.count("unchecked-status:src/io/use.cc:28") == 0,
-           "name with conflicting overload return types treated as ambiguous");
-    expect(r.keys.count("unchecked-status:src/io/use.cc:32") == 0,
-           "lambda initializer not mistaken for a dropped Status");
-    expect(r.findings.size() == 4,
-           "unchecked_status fixture yields exactly 4 findings (got " +
-               std::to_string(r.findings.size()) + ")");
-  }
-
-  // ---- blocking_under_lock: Call/IO under a guard and inside CM_REQUIRES
-  // fire; suppressed and after-scope uses stay quiet. ----------------------
-  {
-    const CaseResult r = run_case("blocking_under_lock");
-    expect(r.ok, "blocking_under_lock fixture analyzable");
-    expect(r.keys.count("blocking-under-lock:src/serving/srv.cc:9") == 1,
-           "service Call under MutexLock detected");
-    expect(r.keys.count("blocking-under-lock:src/serving/srv.cc:16") == 1,
-           "artifact IO under MutexLock detected");
-    expect(r.keys.count("blocking-under-lock:src/serving/srv.cc:31") == 1,
-           "blocking inside CM_REQUIRES body detected");
-    for (const Finding& f : r.findings) {
-      expect(f.file != "src/serving/srv.cc" ||
-                 (f.line != 23 && f.line != 38),
-             "suppressed/after-scope blocking flagged at line " +
-                 std::to_string(f.line));
-    }
-    expect(r.findings.size() == 3,
-           "blocking_under_lock fixture yields exactly 3 findings (got " +
-               std::to_string(r.findings.size()) + ")");
-  }
-
-  if (failures == 0) {
-    std::cout << "cmdeps self-test: every rule fires on its seeded fixtures "
-                 "and honors suppressions\n";
-    return 0;
-  }
-  return 1;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  fs::path root, layers, allowlist, testdata, check_layers;
-  bool self_test = false, json = false, fix_hints = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--self-test") {
-      self_test = true;
-    } else if (arg == "--json") {
-      json = true;
-    } else if (arg == "--fix-hints") {
-      fix_hints = true;
-    } else if (arg == "--root" && i + 1 < argc) {
-      root = argv[++i];
-    } else if (arg == "--layers" && i + 1 < argc) {
-      layers = argv[++i];
-    } else if (arg == "--allowlist" && i + 1 < argc) {
-      allowlist = argv[++i];
-    } else if (arg == "--testdata" && i + 1 < argc) {
-      testdata = argv[++i];
-    } else if (arg == "--check-layers" && i + 1 < argc) {
-      check_layers = argv[++i];
-    } else {
-      std::cout << "usage: cmdeps --root <repo-root> [--layers FILE] "
-                   "[--allowlist FILE] [--json] [--fix-hints] | "
-                   "--check-layers FILE | --self-test --testdata DIR\n";
-      return 2;
-    }
-  }
-
-  if (self_test) {
-    if (testdata.empty()) {
-      std::cout << "cmdeps: --self-test requires --testdata "
-                   "<tools/analysis/testdata>\n";
-      return 2;
-    }
-    return SelfTest(testdata);
-  }
-
-  if (!check_layers.empty()) {
-    LayerSpec spec;
-    std::string error;
-    if (!analysis::LoadLayerSpec(check_layers.string(), &spec, &error)) {
-      std::cout << "cmdeps: " << error << "\n";
-      return 1;
-    }
-    std::cout << "cmdeps: " << check_layers.string() << " OK ("
-              << spec.level.size() << " modules, " << spec.allowed.size()
-              << " allowed exception(s))\n";
-    return 0;
-  }
-
-  if (root.empty()) {
-    std::cout << "cmdeps: --root is required (or use --self-test / "
-                 "--check-layers)\n";
-    return 2;
-  }
-
-  AnalyzeOptions options;
-  options.root = root;
-  options.layers = layers.empty() ? root / "LAYERS" : layers;
-  if (allowlist.empty()) {
-    const fs::path default_allowlist = root / "tools" / "cmdeps_allowlist.txt";
-    if (fs::exists(default_allowlist)) allowlist = default_allowlist;
-  }
-
-  std::vector<Finding> findings;
-  const int rc = AnalyzeTree(options, &findings, std::cout);
-  if (rc != 0) return rc;
-
-  bool allow_ok = true;
-  const std::set<std::string> allow =
-      analysis::LoadAllowlist(allowlist, &allow_ok);
-  if (!allow_ok) {
-    std::cout << "cmdeps: cannot read allowlist " << allowlist << "\n";
-    return 2;
-  }
-  analysis::FilteredFindings filtered =
-      analysis::ApplyAllowlist(findings, allow);
-  std::sort(filtered.reported.begin(), filtered.reported.end(),
-            [](const Finding& a, const Finding& b) {
-              return std::tie(a.file, a.line, a.rule) <
-                     std::tie(b.file, b.line, b.rule);
-            });
-
-  if (json) {
-    analysis::PrintFindingsJson("cmdeps", filtered.reported, std::cout);
-  } else {
-    analysis::PrintFindings(filtered.reported, fix_hints, std::cout);
-    for (const std::string& entry : filtered.stale) {
-      std::cout << "note: stale allowlist entry (no matching finding): "
-                << entry << "\n";
-    }
-    std::cout << "cmdeps: " << filtered.reported.size() << " finding(s)";
-    if (filtered.suppressed > 0) {
-      std::cout << ", " << filtered.suppressed << " allowlisted";
-    }
-    std::cout << "\n";
-  }
-  return filtered.reported.empty() ? 0 : 1;
-}
+}  // namespace cmcheck

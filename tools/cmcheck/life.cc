@@ -1,4 +1,4 @@
-// cmlife — whole-repo lifetime & view-escape static analyzer.
+// life family: whole-repo lifetime & view-escape rules.
 //
 // Four token-level rules over the stripped source tree, built on the
 // tools/analysis scanning library and its lifetime model (function bodies,
@@ -32,40 +32,29 @@
 //                         `// cmlife: move-ok — <why>`.
 //
 // This is the static complement to ASan and the IO fault-injection tests:
-// those catch the dangles a test actually executes; cmlife proves the whole
-// tree follows the zero-copy view discipline without running it. Token-level
-// like its siblings: deliberately conservative — "not provably a frame-local
-// bind" means "do not flag".
-//
-// Usage:
-//   cmlife --root <repo-root> [--allowlist FILE] [--json] [--fix-hints]
-//   cmlife --self-test --testdata <tools/analysis/testdata>
-//
-// Exit codes: 0 clean, 1 findings (or self-test failure), 2 usage/IO error.
+// those catch the dangles a test actually executes; these rules prove the
+// whole tree follows the zero-copy view discipline without running it.
+// Token-level like the other families: deliberately conservative — "not
+// provably a frame-local bind" means "do not flag".
 
 #include <algorithm>
 #include <cctype>
-#include <filesystem>
-#include <iostream>
 #include <map>
 #include <regex>
 #include <set>
-#include <sstream>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
-#include "analysis/findings.h"
-#include "analysis/source.h"
 #include "analysis/symbols.h"
 #include "analysis/text.h"
-
-namespace fs = std::filesystem;
+#include "cmcheck/families.h"
 
 using analysis::CaptureList;
 using analysis::CaptureMode;
 using analysis::ClassInfo;
 using analysis::FieldInfo;
+using analysis::FindWord;
 using analysis::Finding;
 using analysis::FunctionInfo;
 using analysis::LocalVar;
@@ -89,22 +78,6 @@ constexpr char kRuleMove[] = "use-after-move";
 // ---------------------------------------------------------------------------
 // Small token helpers over stripped text.
 // ---------------------------------------------------------------------------
-
-/// Whole-word occurrence of `word` in text[from, limit); npos when none.
-size_t FindWord(const std::string& text, const std::string& word, size_t from,
-                size_t limit) {
-  size_t pos = from;
-  limit = std::min(limit, text.size());
-  while (pos < limit &&
-         (pos = text.find(word, pos)) != std::string::npos && pos < limit) {
-    const bool left_ok = pos == 0 || !analysis::IsIdentChar(text[pos - 1]);
-    const size_t end = pos + word.size();
-    const bool right_ok = end >= text.size() || !analysis::IsIdentChar(text[end]);
-    if (left_ok && right_ok) return pos;
-    pos = end;
-  }
-  return std::string::npos;
-}
 
 /// True when the occurrence at `pos` names the object itself rather than a
 /// same-named member of something else (`world.registry` is not the local
@@ -736,33 +709,12 @@ void CheckUseAfterMove(const SourceFile& file,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Tree analysis driver.
-// ---------------------------------------------------------------------------
+}  // namespace
 
-struct AnalyzeOptions {
-  fs::path root;
-  fs::path allowlist;  ///< Optional rule:path allowlist.
-};
+namespace cmcheck {
 
-/// Runs every rule over the tree. Returns 2 on infrastructure errors,
-/// otherwise 0 with findings appended.
-int AnalyzeTree(const AnalyzeOptions& options, std::vector<Finding>* findings,
-                std::ostream& diag) {
-  const std::vector<std::string> kSubdirs = {"src", "tools", "tests", "bench",
-                                             "examples"};
-  std::vector<SourceFile> files;
-  for (const fs::path& path :
-       analysis::ListSourceFiles(options.root, kSubdirs)) {
-    SourceFile file;
-    const std::string rel = fs::relative(path, options.root).generic_string();
-    if (!analysis::LoadSourceFile(path, rel, &file)) {
-      diag << "cmlife: cannot read " << rel << "\n";
-      return 2;
-    }
-    files.push_back(std::move(file));
-  }
-
+void CheckLife(const Tree& tree, std::vector<Finding>* findings) {
+  const std::vector<SourceFile>& files = tree.files;
   // Cross-file maps: function return ownership (declarations included, so a
   // header prototype is enough) and field classification. Names the tree
   // spells inconsistently are erased — ambiguity means "do not flag".
@@ -821,224 +773,6 @@ int AnalyzeTree(const AnalyzeOptions& options, std::vector<Finding>* findings,
     CheckInvalidatedRefs(file, fns, findings);
     CheckUseAfterMove(file, fns, findings);
   }
-  return 0;
 }
 
-// ---------------------------------------------------------------------------
-// Self-test over the seeded fixture trees in tools/analysis/testdata/cmlife/.
-// ---------------------------------------------------------------------------
-
-int SelfTest(const fs::path& testdata) {
-  int failures = 0;
-  auto expect = [&failures](bool cond, const std::string& what) {
-    if (!cond) {
-      std::cout << "self-test FAIL: " << what << "\n";
-      ++failures;
-    }
-  };
-
-  // Runs one fixture tree and returns its findings as "rule:file:line"
-  // strings plus the raw findings for message checks.
-  struct CaseResult {
-    std::vector<Finding> findings;
-    std::set<std::string> keys;
-    bool ok = false;
-  };
-  auto run_case = [&testdata](const std::string& name) {
-    CaseResult result;
-    AnalyzeOptions options;
-    options.root = testdata / "cmlife" / name;
-    std::ostringstream diag;
-    result.ok = AnalyzeTree(options, &result.findings, diag) == 0;
-    for (const Finding& f : result.findings) {
-      result.keys.insert(f.rule + ":" + f.file + ":" + std::to_string(f.line));
-    }
-    return result;
-  };
-
-  // ---- views: view returns of locals, view-of-temporary binds, and view
-  // members bound to parameters fire; static locals, view-returning calls,
-  // owned returns, member-to-member binds, suppressed stay quiet. ----------
-  {
-    const CaseResult r = run_case("views");
-    expect(r.ok, "views fixture analyzable");
-    expect(r.keys.count("view-escape:src/a.cc:10") == 1,
-           "view return of owning local detected");
-    expect(r.keys.count("view-escape:src/a.cc:16") == 1,
-           "data() pointer return of local vector detected");
-    expect(r.keys.count("view-escape:src/a.cc:21") == 1,
-           "view of owning temporary (cross-file return type) detected");
-    expect(r.keys.count("view-escape:src/a.cc:29") == 1,
-           "view member bound to parameter detected");
-    bool hint_ok = false;
-    for (const Finding& f : r.findings) {
-      if (f.line == 10) {
-        hint_ok = f.fix_hint.find(kViewOk) != std::string::npos;
-      }
-      expect(f.line != 39 && f.line != 44 && f.line != 51 && f.line != 57 &&
-                 f.line != 68,
-             "static/view-chain/owned/member-bind/suppressed flagged at line " +
-                 std::to_string(f.line));
-    }
-    expect(hint_ok, "view-escape fix hint spells the suppression marker");
-    expect(r.findings.size() == 4,
-           "views fixture yields exactly 4 findings (got " +
-               std::to_string(r.findings.size()) + ")");
-  }
-
-  // ---- deferred: by-ref captures into Submit without Wait, [&] defaults,
-  // stored std::function members, and returned lambdas fire; Wait-joined,
-  // by-value, and suppressed stay quiet. -----------------------------------
-  {
-    const CaseResult r = run_case("deferred");
-    expect(r.ok, "deferred fixture analyzable");
-    expect(r.keys.count("deferred-capture-lifetime:src/a.cc:22") == 1,
-           "by-ref capture into fire-and-forget Submit detected");
-    expect(r.keys.count("deferred-capture-lifetime:src/a.cc:28") == 1,
-           "default [&] capture the task body uses detected");
-    expect(r.keys.count("deferred-capture-lifetime:src/a.cc:34") == 1,
-           "by-ref capture stored into std::function member detected");
-    expect(r.keys.count("deferred-capture-lifetime:src/a.cc:40") == 1,
-           "returned lambda referencing dead frame detected");
-    for (const Finding& f : r.findings) {
-      expect(f.line != 46 && f.line != 53 && f.line != 59 && f.line != 66,
-             "waited/by-value/suppressed capture flagged at line " +
-                 std::to_string(f.line));
-    }
-    expect(r.findings.size() == 4,
-           "deferred fixture yields exactly 4 findings (got " +
-               std::to_string(r.findings.size()) + ")");
-  }
-
-  // ---- invalidate: element reference across push_back, data() across
-  // resize, iterator across erase fire; use-before-mutation, the
-  // erase-refresh idiom, value copies, and suppressed stay quiet. ----------
-  {
-    const CaseResult r = run_case("invalidate");
-    expect(r.ok, "invalidate fixture analyzable");
-    expect(r.keys.count("invalidated-reference:src/a.cc:15") == 1,
-           "element reference used across push_back detected");
-    expect(r.keys.count("invalidated-reference:src/a.cc:22") == 1,
-           "data() pointer used across resize detected");
-    expect(r.keys.count("invalidated-reference:src/a.cc:29") == 1,
-           "map iterator used across erase detected");
-    for (const Finding& f : r.findings) {
-      expect(f.line != 35 && f.line != 43 && f.line != 50 && f.line != 58,
-             "pre-mutation/refreshed/copied/suppressed use flagged at line " +
-                 std::to_string(f.line));
-    }
-    expect(r.findings.size() == 3,
-           "invalidate fixture yields exactly 3 findings (got " +
-               std::to_string(r.findings.size()) + ")");
-  }
-
-  // ---- moves: read-after-move and double-move fire; reassignment,
-  // reset(), loop-body moves, return-moves, and suppressed stay quiet. -----
-  {
-    const CaseResult r = run_case("moves");
-    expect(r.ok, "moves fixture analyzable");
-    expect(r.keys.count("use-after-move:src/a.cc:16") == 1,
-           "read after move detected");
-    expect(r.keys.count("use-after-move:src/a.cc:23") == 1,
-           "double move detected");
-    for (const Finding& f : r.findings) {
-      expect(f.line != 31 && f.line != 38 && f.line != 46 && f.line != 53 &&
-                 f.line != 61,
-             "revived/loop/return-move/suppressed read flagged at line " +
-                 std::to_string(f.line));
-    }
-    expect(r.findings.size() == 2,
-           "moves fixture yields exactly 2 findings (got " +
-               std::to_string(r.findings.size()) + ")");
-  }
-
-  if (failures == 0) {
-    std::cout << "cmlife self-test: every rule fires on its seeded fixtures "
-                 "and honors suppressions\n";
-    return 0;
-  }
-  return 1;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  fs::path root, allowlist, testdata;
-  bool self_test = false, json = false, fix_hints = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--self-test") {
-      self_test = true;
-    } else if (arg == "--json") {
-      json = true;
-    } else if (arg == "--fix-hints") {
-      fix_hints = true;
-    } else if (arg == "--root" && i + 1 < argc) {
-      root = argv[++i];
-    } else if (arg == "--allowlist" && i + 1 < argc) {
-      allowlist = argv[++i];
-    } else if (arg == "--testdata" && i + 1 < argc) {
-      testdata = argv[++i];
-    } else {
-      std::cout << "usage: cmlife --root <repo-root> [--allowlist FILE] "
-                   "[--json] [--fix-hints] | --self-test --testdata DIR\n";
-      return 2;
-    }
-  }
-
-  if (self_test) {
-    if (testdata.empty()) {
-      std::cout << "cmlife: --self-test requires --testdata "
-                   "<tools/analysis/testdata>\n";
-      return 2;
-    }
-    return SelfTest(testdata);
-  }
-
-  if (root.empty()) {
-    std::cout << "cmlife: --root is required (or use --self-test)\n";
-    return 2;
-  }
-
-  AnalyzeOptions options;
-  options.root = root;
-  if (allowlist.empty()) {
-    const fs::path default_allowlist = root / "tools" / "cmlife_allowlist.txt";
-    if (fs::exists(default_allowlist)) allowlist = default_allowlist;
-  }
-
-  std::vector<Finding> findings;
-  const int rc = AnalyzeTree(options, &findings, std::cout);
-  if (rc != 0) return rc;
-
-  bool allow_ok = true;
-  const std::set<std::string> allow =
-      analysis::LoadAllowlist(allowlist, &allow_ok);
-  if (!allow_ok) {
-    std::cout << "cmlife: cannot read allowlist " << allowlist << "\n";
-    return 2;
-  }
-  analysis::FilteredFindings filtered =
-      analysis::ApplyAllowlist(findings, allow);
-  std::sort(filtered.reported.begin(), filtered.reported.end(),
-            [](const Finding& a, const Finding& b) {
-              return std::tie(a.file, a.line, a.rule) <
-                     std::tie(b.file, b.line, b.rule);
-            });
-
-  if (json) {
-    analysis::PrintFindingsJson("cmlife", filtered.reported, std::cout);
-  } else {
-    analysis::PrintFindings(filtered.reported, fix_hints, std::cout);
-    for (const std::string& entry : filtered.stale) {
-      std::cout << "note: stale allowlist entry (no matching finding): "
-                << entry << "\n";
-    }
-    std::cout << "cmlife: " << filtered.reported.size() << " finding(s)";
-    if (filtered.suppressed > 0) {
-      std::cout << ", " << filtered.suppressed << " allowlisted";
-    }
-    std::cout << "\n";
-  }
-  return filtered.reported.empty() ? 0 : 1;
-}
+}  // namespace cmcheck

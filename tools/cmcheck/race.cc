@@ -1,4 +1,4 @@
-// cmrace — whole-repo concurrency & hot-path static analyzer.
+// race family: whole-repo concurrency & hot-path rules.
 //
 // Four token-level rules over the stripped source tree, built on the
 // tools/analysis scanning library and its C++ symbol/field model:
@@ -12,9 +12,9 @@
 //                         `// cmrace: shared-ok — <why>` suppressions.
 //   guard-missing /       per mutex-owning class, fields written inside
 //   requires-missing      MutexLock scopes or CM_REQUIRES methods are
-//                         cross-referenced against CM_GUARDED_BY; the tool
-//                         infers and prints the exact annotation to add
-//                         (--fix-hints). Suppress: `// cmrace: guard-ok`.
+//                         cross-referenced against CM_GUARDED_BY; the fix
+//                         hint spells the exact annotation to add.
+//                         Suppress: `// cmrace: guard-ok`.
 //   atomic-rmw-order /    std::atomic RMW without an explicit
 //   atomic-counter-order  std::memory_order, operator ++/+= on atomics
 //                         (implicit seq_cst), and non-relaxed ordering on
@@ -27,32 +27,21 @@
 //                         src/. Suppress: `// cmrace: alloc-ok`.
 //
 // This is the static complement to TSan and the runtime lockdep checker:
-// those catch races a test actually executes; cmrace proves the whole tree
-// follows the slice-ownership and annotation discipline without running it.
-//
-// Usage:
-//   cmrace --root <repo-root> [--allowlist FILE] [--json] [--fix-hints]
-//   cmrace --self-test --testdata <tools/analysis/testdata>
-//
-// Exit codes: 0 clean, 1 findings (or self-test failure), 2 usage/IO error.
+// those catch races a test actually executes; these rules prove the whole
+// tree follows the slice-ownership and annotation discipline without
+// running it.
 
 #include <algorithm>
-#include <filesystem>
-#include <iostream>
+#include <cctype>
 #include <map>
 #include <regex>
 #include <set>
-#include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
-#include "analysis/findings.h"
-#include "analysis/source.h"
 #include "analysis/symbols.h"
 #include "analysis/text.h"
-
-namespace fs = std::filesystem;
+#include "cmcheck/families.h"
 
 using analysis::ClassInfo;
 using analysis::FieldInfo;
@@ -268,55 +257,6 @@ std::vector<ParallelLambda> FindParallelLambdas(const SourceFile& file,
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Loop extents inside a lambda body (for the alloc-in-slice rule).
-// ---------------------------------------------------------------------------
-
-struct LoopExtent {
-  size_t begin;
-  size_t end;
-};
-
-std::vector<LoopExtent> CollectLoopExtents(const std::string& text,
-                                           size_t begin, size_t end) {
-  std::vector<LoopExtent> out;
-  const std::string body = text.substr(begin, end - begin);
-  static const std::regex kLoop(R"(\b(for|while)\s*\()");
-  for (auto it = std::sregex_iterator(body.begin(), body.end(), kLoop);
-       it != std::sregex_iterator(); ++it) {
-    const size_t open = begin + static_cast<size_t>(it->position(0)) +
-                        static_cast<size_t>(it->length(0)) - 1;
-    const size_t close = analysis::MatchingParen(text, open);
-    if (close == std::string::npos || close >= end) continue;
-    const size_t after = analysis::SkipWhitespace(text, close + 1);
-    if (after < text.size() && text[after] == '{') {
-      const size_t be = analysis::MatchingBrace(text, after);
-      if (be != std::string::npos) out.push_back({after + 1, be});
-    } else {
-      const size_t semi = text.find(';', after);
-      if (semi != std::string::npos) out.push_back({after, semi});
-    }
-  }
-  static const std::regex kDo(R"(\bdo\b)");
-  for (auto it = std::sregex_iterator(body.begin(), body.end(), kDo);
-       it != std::sregex_iterator(); ++it) {
-    const size_t after = analysis::SkipWhitespace(
-        text, begin + static_cast<size_t>(it->position(0)) + 2);
-    if (after < text.size() && text[after] == '{') {
-      const size_t be = analysis::MatchingBrace(text, after);
-      if (be != std::string::npos && be < end) out.push_back({after + 1, be});
-    }
-  }
-  return out;
-}
-
-bool InAnyLoop(const std::vector<LoopExtent>& loops, size_t offset) {
-  for (const LoopExtent& l : loops) {
-    if (offset >= l.begin && offset < l.end) return true;
-  }
-  return false;
-}
-
 /// True when `name` has `name.reserve(...)` (or ->reserve) anywhere in the
 /// file — the capacity was provisioned, so growth calls do not allocate
 /// per iteration.
@@ -339,20 +279,6 @@ bool DeclaredAsMapLike(const std::string& text, const std::string& name) {
   return false;
 }
 
-
-/// Local whole-word search (symbols.cc keeps its own copy private).
-size_t FindWord(const std::string& text, const std::string& word,
-                size_t from) {
-  size_t pos = from;
-  while ((pos = text.find(word, pos)) != std::string::npos) {
-    const bool left = pos == 0 || !analysis::IsIdentChar(text[pos - 1]);
-    const size_t end = pos + word.size();
-    const bool right = end >= text.size() || !analysis::IsIdentChar(text[end]);
-    if (left && right) return pos;
-    pos = end;
-  }
-  return std::string::npos;
-}
 
 // ---------------------------------------------------------------------------
 // Rule 1: shared-state capture.
@@ -586,8 +512,9 @@ void CheckAllocInSlice(const SourceFile& file,
   };
 
   for (const ParallelLambda& lambda : FindParallelLambdas(file, true)) {
-    const std::vector<LoopExtent> loops =
-        CollectLoopExtents(text, lambda.body_begin + 1, lambda.body_end);
+    const std::vector<analysis::LoopRange> loops =
+        analysis::CollectLoopRanges(text, lambda.body_begin + 1,
+                                    lambda.body_end);
     if (loops.empty()) continue;
     const std::string body = text.substr(
         lambda.body_begin, lambda.body_end - lambda.body_begin + 1);
@@ -595,9 +522,9 @@ void CheckAllocInSlice(const SourceFile& file,
     // Direct heap constructions.
     for (const char* word : {"new", "make_unique", "make_shared"}) {
       size_t pos = lambda.body_begin;
-      while ((pos = FindWord(text, word, pos)) != std::string::npos &&
-             pos < lambda.body_end) {
-        if (InAnyLoop(loops, pos)) {
+      while ((pos = analysis::FindWord(text, word, pos, lambda.body_end)) !=
+             std::string::npos) {
+        if (analysis::InAnyRange(loops, pos)) {
           add(pos, std::string("'") + word + "' allocates",
               "allocate slice-owned scratch outside the loop");
         }
@@ -606,9 +533,9 @@ void CheckAllocInSlice(const SourceFile& file,
     }
     {
       size_t pos = lambda.body_begin;
-      while ((pos = FindWord(text, "to_string", pos)) != std::string::npos &&
-             pos < lambda.body_end) {
-        if (InAnyLoop(loops, pos)) {
+      while ((pos = analysis::FindWord(text, "to_string", pos,
+                                       lambda.body_end)) != std::string::npos) {
+        if (analysis::InAnyRange(loops, pos)) {
           add(pos, "'std::to_string' builds a std::string per iteration",
               "format outside the loop or into a reused buffer");
         }
@@ -625,7 +552,7 @@ void CheckAllocInSlice(const SourceFile& file,
       const size_t pos =
           lambda.body_begin + static_cast<size_t>(it->position(1));
       if (!BaseNameOk(text, pos)) continue;
-      if (!InAnyLoop(loops, pos)) continue;
+      if (!analysis::InAnyRange(loops, pos)) continue;
       const std::string name = (*it)[1].str();
       if (HasReserveInFile(text, name)) continue;
       add(pos, "'" + name + "." + (*it)[3].str() + "' grows an unreserved container",
@@ -641,7 +568,7 @@ void CheckAllocInSlice(const SourceFile& file,
       const size_t pos =
           lambda.body_begin + static_cast<size_t>(it->position(1));
       if (!BaseNameOk(text, pos)) continue;
-      if (!InAnyLoop(loops, pos)) continue;
+      if (!analysis::InAnyRange(loops, pos)) continue;
       const std::string name = (*it)[1].str();
       if (!DeclaredAsMapLike(text, name)) continue;
       if (HasReserveInFile(text, name)) continue;
@@ -658,11 +585,11 @@ void CheckAllocInSlice(const SourceFile& file,
     for (const char* type : kContainers) {
       size_t pos = lambda.body_begin;
       const size_t tlen = std::string(type).size();
-      while ((pos = FindWord(text, type, pos)) != std::string::npos &&
-             pos < lambda.body_end) {
+      while ((pos = analysis::FindWord(text, type, pos, lambda.body_end)) !=
+             std::string::npos) {
         const size_t here = pos;
         pos += tlen;
-        if (!InAnyLoop(loops, here)) continue;
+        if (!analysis::InAnyRange(loops, here)) continue;
         // `new std::vector<...>` is already reported by the new check.
         size_t back = here;
         if (back >= 2 && text[back - 1] == ':' && text[back - 2] == ':') {
@@ -857,33 +784,12 @@ void CheckAnnotationCoverage(
   }
 }
 
-// ---------------------------------------------------------------------------
-// Tree analysis driver.
-// ---------------------------------------------------------------------------
+}  // namespace
 
-struct AnalyzeOptions {
-  fs::path root;
-  fs::path allowlist;  ///< Optional rule:path allowlist.
-};
+namespace cmcheck {
 
-/// Runs every rule over the tree. Returns 2 on infrastructure errors,
-/// otherwise 0 with findings appended.
-int AnalyzeTree(const AnalyzeOptions& options, std::vector<Finding>* findings,
-                std::ostream& diag) {
-  const std::vector<std::string> kSubdirs = {"src", "tools", "tests", "bench",
-                                             "examples"};
-  std::vector<SourceFile> files;
-  for (const fs::path& path :
-       analysis::ListSourceFiles(options.root, kSubdirs)) {
-    SourceFile file;
-    const std::string rel = fs::relative(path, options.root).generic_string();
-    if (!analysis::LoadSourceFile(path, rel, &file)) {
-      diag << "cmrace: cannot read " << rel << "\n";
-      return 2;
-    }
-    files.push_back(std::move(file));
-  }
-
+void CheckRace(const Tree& tree, std::vector<Finding>* findings) {
+  const std::vector<SourceFile>& files = tree.files;
   std::vector<std::vector<ClassInfo>> classes_per_file;
   classes_per_file.reserve(files.size());
   for (const SourceFile& file : files) {
@@ -905,226 +811,6 @@ int AnalyzeTree(const AnalyzeOptions& options, std::vector<Finding>* findings,
     if (file.rel.rfind("src/", 0) == 0) CheckAllocInSlice(file, findings);
   }
   CheckAnnotationCoverage(files, classes_per_file, findings);
-  return 0;
 }
 
-// ---------------------------------------------------------------------------
-// Self-test over the seeded fixture trees in tools/analysis/testdata/cmrace/.
-// ---------------------------------------------------------------------------
-
-int SelfTest(const fs::path& testdata) {
-  int failures = 0;
-  auto expect = [&failures](bool cond, const std::string& what) {
-    if (!cond) {
-      std::cout << "self-test FAIL: " << what << "\n";
-      ++failures;
-    }
-  };
-
-  // Runs one fixture tree and returns its findings as "rule:file:line"
-  // strings plus the raw findings for message checks.
-  struct CaseResult {
-    std::vector<Finding> findings;
-    std::set<std::string> keys;
-    bool ok = false;
-  };
-  auto run_case = [&testdata](const std::string& name) {
-    CaseResult result;
-    AnalyzeOptions options;
-    options.root = testdata / "cmrace" / name;
-    std::ostringstream diag;
-    result.ok = AnalyzeTree(options, &result.findings, diag) == 0;
-    for (const Finding& f : result.findings) {
-      result.keys.insert(f.rule + ":" + f.file + ":" + std::to_string(f.line));
-    }
-    return result;
-  };
-
-  // ---- capture: by-ref mutation of a local and of a field through `this`
-  // fire; atomic, slot-indexed, and suppressed writes stay quiet. ----------
-  {
-    const CaseResult r = run_case("capture");
-    expect(r.ok, "capture fixture analyzable");
-    expect(r.keys.count("shared-capture:src/a.cc:18") == 1,
-           "by-ref captured local accumulator detected");
-    expect(r.keys.count("shared-capture:src/a.cc:31") == 1,
-           "field mutated through captured this detected");
-    for (const Finding& f : r.findings) {
-      expect(f.line != 19 && f.line != 20 && f.line != 22,
-             "atomic/slot-indexed/suppressed write flagged at line " +
-                 std::to_string(f.line));
-    }
-    expect(r.findings.size() == 2,
-           "capture fixture yields exactly 2 findings (got " +
-               std::to_string(r.findings.size()) + ")");
-  }
-
-  // ---- guards: unannotated fields written under MutexLock or CM_REQUIRES
-  // earn inferred CM_GUARDED_BY hints; the annotated field written without
-  // the lock earns requires-missing; suppressed field stays quiet. --------
-  {
-    const CaseResult r = run_case("guards");
-    expect(r.ok, "guards fixture analyzable");
-    expect(r.keys.count("guard-missing:src/cache.h:25") == 1,
-           "map written under lock inferred as guarded");
-    expect(r.keys.count("guard-missing:src/cache.h:26") == 1,
-           "counter incremented under lock inferred as guarded");
-    expect(r.keys.count("guard-missing:src/cache.h:27") == 1,
-           "field written in CM_REQUIRES body inferred as guarded");
-    expect(r.keys.count("requires-missing:src/s.cc:4") == 1,
-           "out-of-line unlocked write of guarded field detected");
-    bool hint_ok = false;
-    for (const Finding& f : r.findings) {
-      if (f.rule == "guard-missing" && f.line == 26) {
-        hint_ok = f.fix_hint.find("CM_GUARDED_BY(mu_)") != std::string::npos;
-      }
-      expect(f.file != "src/cache.h" || f.line != 29,
-             "suppressed field flagged at its declaration");
-      expect(f.file != "src/s.cc" || f.line != 9,
-             "locked write of annotated field flagged");
-    }
-    expect(hint_ok, "guard-missing fix hint spells the exact annotation");
-    expect(r.findings.size() == 4,
-           "guards fixture yields exactly 4 findings (got " +
-               std::to_string(r.findings.size()) + ")");
-  }
-
-  // ---- atomics: order-less RMW and operator RMW fire; a discarded seq_cst
-  // counter earns counter-order; relaxed/used/suppressed stay quiet. -------
-  {
-    const CaseResult r = run_case("atomics");
-    expect(r.ok, "atomics fixture analyzable");
-    expect(r.keys.count("atomic-rmw-order:src/a.cc:8") == 1,
-           "fetch_add without memory_order detected");
-    expect(r.keys.count("atomic-rmw-order:src/a.cc:9") == 1,
-           "exchange without memory_order detected");
-    expect(r.keys.count("atomic-counter-order:src/a.cc:11") == 1,
-           "discarded seq_cst counter detected");
-    expect(r.keys.count("atomic-rmw-order:src/a.cc:17") == 1,
-           "operator++ on atomic detected");
-    for (const Finding& f : r.findings) {
-      expect(f.line != 12 && f.line != 13 && f.line != 16 && f.line != 22,
-             "relaxed/used/suppressed/explicit RMW flagged at line " +
-                 std::to_string(f.line));
-    }
-    expect(r.findings.size() == 4,
-           "atomics fixture yields exactly 4 findings (got " +
-               std::to_string(r.findings.size()) + ")");
-  }
-
-  // ---- allocs: per-iteration ctor/new/string/map-insert fire inside the
-  // slice loop; reserved growth, loop-hoisted scratch, and suppressed
-  // inserts stay quiet. ----------------------------------------------------
-  {
-    const CaseResult r = run_case("allocs");
-    expect(r.ok, "allocs fixture analyzable");
-    expect(r.keys.count("alloc-in-slice:src/a.cc:22") == 1,
-           "vector constructed per iteration detected");
-    expect(r.keys.count("alloc-in-slice:src/a.cc:23") == 1,
-           "naked new in slice loop detected");
-    expect(r.keys.count("alloc-in-slice:src/a.cc:24") == 1,
-           "string constructed per iteration detected");
-    expect(r.keys.count("alloc-in-slice:src/a.cc:25") == 1,
-           "to_string in slice loop detected");
-    expect(r.keys.count("alloc-in-slice:src/a.cc:40") == 1,
-           "unreserved map insert in slice loop detected");
-    for (const Finding& f : r.findings) {
-      expect(f.line != 19 && f.line != 20 && f.line != 26 && f.line != 42,
-             "hoisted/reserved/suppressed allocation flagged at line " +
-                 std::to_string(f.line));
-    }
-    expect(r.findings.size() == 5,
-           "allocs fixture yields exactly 5 findings (got " +
-               std::to_string(r.findings.size()) + ")");
-  }
-
-  if (failures == 0) {
-    std::cout << "cmrace self-test: every rule fires on its seeded fixtures "
-                 "and honors suppressions\n";
-    return 0;
-  }
-  return 1;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  fs::path root, allowlist, testdata;
-  bool self_test = false, json = false, fix_hints = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--self-test") {
-      self_test = true;
-    } else if (arg == "--json") {
-      json = true;
-    } else if (arg == "--fix-hints") {
-      fix_hints = true;
-    } else if (arg == "--root" && i + 1 < argc) {
-      root = argv[++i];
-    } else if (arg == "--allowlist" && i + 1 < argc) {
-      allowlist = argv[++i];
-    } else if (arg == "--testdata" && i + 1 < argc) {
-      testdata = argv[++i];
-    } else {
-      std::cout << "usage: cmrace --root <repo-root> [--allowlist FILE] "
-                   "[--json] [--fix-hints] | --self-test --testdata DIR\n";
-      return 2;
-    }
-  }
-
-  if (self_test) {
-    if (testdata.empty()) {
-      std::cout << "cmrace: --self-test requires --testdata "
-                   "<tools/analysis/testdata>\n";
-      return 2;
-    }
-    return SelfTest(testdata);
-  }
-
-  if (root.empty()) {
-    std::cout << "cmrace: --root is required (or use --self-test)\n";
-    return 2;
-  }
-
-  AnalyzeOptions options;
-  options.root = root;
-  if (allowlist.empty()) {
-    const fs::path default_allowlist = root / "tools" / "cmrace_allowlist.txt";
-    if (fs::exists(default_allowlist)) allowlist = default_allowlist;
-  }
-
-  std::vector<Finding> findings;
-  const int rc = AnalyzeTree(options, &findings, std::cout);
-  if (rc != 0) return rc;
-
-  bool allow_ok = true;
-  const std::set<std::string> allow =
-      analysis::LoadAllowlist(allowlist, &allow_ok);
-  if (!allow_ok) {
-    std::cout << "cmrace: cannot read allowlist " << allowlist << "\n";
-    return 2;
-  }
-  analysis::FilteredFindings filtered =
-      analysis::ApplyAllowlist(findings, allow);
-  std::sort(filtered.reported.begin(), filtered.reported.end(),
-            [](const Finding& a, const Finding& b) {
-              return std::tie(a.file, a.line, a.rule) <
-                     std::tie(b.file, b.line, b.rule);
-            });
-
-  if (json) {
-    analysis::PrintFindingsJson("cmrace", filtered.reported, std::cout);
-  } else {
-    analysis::PrintFindings(filtered.reported, fix_hints, std::cout);
-    for (const std::string& entry : filtered.stale) {
-      std::cout << "note: stale allowlist entry (no matching finding): "
-                << entry << "\n";
-    }
-    std::cout << "cmrace: " << filtered.reported.size() << " finding(s)";
-    if (filtered.suppressed > 0) {
-      std::cout << ", " << filtered.suppressed << " allowlisted";
-    }
-    std::cout << "\n";
-  }
-  return filtered.reported.empty() ? 0 : 1;
-}
+}  // namespace cmcheck

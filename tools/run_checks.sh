@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
-# Repo static checks: the cmlint, cmdeps, cmrace, and cmlife self-tests,
-# all four analyzers over the tree, the LAYERS spec gate, and clang-tidy
-# when available. Registered as the `run_checks` ctest test; also runnable
-# by hand:
+# Repo static checks: cmcheck over the tree, and clang-tidy when available.
+# Registered as the `run_checks` ctest test, the one ctest entry that runs
+# the cmcheck tree pass (the self-test runs in the `cmdeps`/`cmrace`/`cmlife`
+# and `*_selftest` entries); also runnable by hand:
 #
-#   tools/run_checks.sh <cmlint-bin> <cmdeps-bin> <cmrace-bin> <cmlife-bin> \
-#     <repo-root> [build-dir]
+#   tools/run_checks.sh <cmcheck-bin> <repo-root> [build-dir]
 #
-# Unlike a `set -e` script, every check always runs: one broken tool no
-# longer hides the results of the others. Each check's PASS/FAIL/SKIP status
-# is collected into a summary table and the script exits non-zero when any
+# Unlike a `set -e` script, every check always runs: one broken tool does
+# not hide the results of the others. Each check's PASS/FAIL/SKIP status is
+# collected into a summary table and the script exits non-zero when any
 # check failed.
 #
 # clang-tidy is optional (the CI lint job and local clang installs run it);
@@ -17,14 +16,10 @@
 # note rather than failing, so gcc-only environments stay green.
 set -uo pipefail
 
-usage="usage: run_checks.sh <cmlint-bin> <cmdeps-bin> <cmrace-bin> \
-<cmlife-bin> <repo-root> [build-dir]"
-CMLINT_BIN=${1:?${usage}}
-CMDEPS_BIN=${2:?${usage}}
-CMRACE_BIN=${3:?${usage}}
-CMLIFE_BIN=${4:?${usage}}
-ROOT=${5:?${usage}}
-BUILD_DIR=${6:-}
+usage="usage: run_checks.sh <cmcheck-bin> <repo-root> [build-dir]"
+CMCHECK_BIN=${1:?${usage}}
+ROOT=${2:?${usage}}
+BUILD_DIR=${3:-}
 
 names=()
 results=()
@@ -52,19 +47,7 @@ skip() {
   results+=("SKIP (${why})")
 }
 
-run "cmlint self-test" "${CMLINT_BIN}" --self-test
-run "cmlint src/" "${CMLINT_BIN}" --root "${ROOT}" \
-  --allowlist "${ROOT}/tools/cmlint_allowlist.txt"
-run "cmdeps self-test" "${CMDEPS_BIN}" --self-test \
-  --testdata "${ROOT}/tools/analysis/testdata"
-run "cmdeps LAYERS spec" "${CMDEPS_BIN}" --check-layers "${ROOT}/LAYERS"
-run "cmdeps tree" "${CMDEPS_BIN}" --root "${ROOT}"
-run "cmrace self-test" "${CMRACE_BIN}" --self-test \
-  --testdata "${ROOT}/tools/analysis/testdata"
-run "cmrace tree" "${CMRACE_BIN}" --root "${ROOT}"
-run "cmlife self-test" "${CMLIFE_BIN}" --self-test \
-  --testdata "${ROOT}/tools/analysis/testdata"
-run "cmlife tree" "${CMLIFE_BIN}" --root "${ROOT}"
+run "cmcheck tree" "${CMCHECK_BIN}" --root "${ROOT}"
 
 if command -v clang-tidy >/dev/null 2>&1; then
   if [[ -n "${BUILD_DIR}" && -f "${BUILD_DIR}/compile_commands.json" ]]; then
