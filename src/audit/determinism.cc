@@ -218,7 +218,7 @@ Result<StageHashes> RunStack(const DeterminismOptions& options) {
 
   CrossModalPipeline pipeline(&registry, &corpus, config);
 
-  // ---- Stage: feature generation (MapReduce). --------------------------
+  // ---- Stage: feature generation. --------------------------------------
   CM_RETURN_IF_ERROR(pipeline.GenerateFeatureSpace());
   std::vector<EntityId> all_entities;
   all_entities.reserve(corpus.TotalSize());

@@ -6,6 +6,7 @@
 #include "dataflow/feature_generation.h"
 #include "graph/similarity.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 #include "util/random.h"
 #include "util/timer.h"
 
@@ -32,15 +33,13 @@ Status CrossModalPipeline::GenerateFeatureSpace() {
   // Health counters are scoped to this pipeline's step A so the report is a
   // pure function of (corpus, registry, fault plan).
   registry_->ResetHealth();
-  MapReduceExecutor executor;
-  GenerateFeatures(corpus_->text_labeled, *registry_, &executor, store_.get(),
-                   &gen_stats_);
-  GenerateFeatures(corpus_->image_unlabeled, *registry_, &executor,
-                   store_.get(), &gen_stats_);
-  GenerateFeatures(corpus_->image_labeled_pool, *registry_, &executor,
-                   store_.get(), &gen_stats_);
-  GenerateFeatures(corpus_->image_test, *registry_, &executor, store_.get(),
-                   &gen_stats_);
+  StagePool pool(config_.parallel);
+  for (const auto* split : {&corpus_->text_labeled, &corpus_->image_unlabeled,
+                            &corpus_->image_labeled_pool,
+                            &corpus_->image_test}) {
+    GenerateFeatures(*split, *registry_, pool.get(), store_.get(),
+                     &gen_stats_);
+  }
   feature_gen_seconds_ = timer.ElapsedSeconds();
   features_generated_ = true;
   return Status::OK();

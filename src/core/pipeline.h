@@ -71,10 +71,10 @@ struct PipelineConfig {
   /// generate/curate/convert consult this; the in-memory pipeline does not
   /// write files itself).
   StoreFormat store_format = StoreFormat::kTsv;
-  /// Worker budget for the measured hot paths (kNN graph, label
-  /// propagation, model training). Overrides the per-stage ParallelConfig
-  /// in curation.graph / curation.propagation / model.train; every value
-  /// produces bit-identical artifacts (util/parallel.h).
+  /// Worker budget for the measured hot paths (feature generation, kNN
+  /// graph, label propagation, model training). Overrides the per-stage
+  /// ParallelConfig in curation.graph / curation.propagation / model.train;
+  /// every value produces bit-identical artifacts (util/parallel.h).
   ParallelConfig parallel;
 };
 

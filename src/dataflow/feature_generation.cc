@@ -2,52 +2,42 @@
 
 #include <utility>
 
-#include "util/logging.h"
+#include "util/parallel.h"
 
 namespace crossmodal {
 
-void FeatureGenStats::Merge(const FeatureGenStats& other) {
-  rows += other.rows;
-  if (populated.empty()) {
-    populated = other.populated;
-    return;
-  }
-  CM_CHECK(populated.size() == other.populated.size());
-  for (size_t f = 0; f < populated.size(); ++f) {
-    populated[f] += other.populated[f];
-  }
-}
-
 void GenerateFeatures(const std::vector<Entity>& entities,
-                      const ResourceRegistry& registry,
-                      MapReduceExecutor* executor, FeatureStore* store,
-                      FeatureGenStats* stats) {
-  using Row = std::pair<EntityId, FeatureVector>;
-  std::function<Row(const Entity&)> fn = [&registry](const Entity& e) {
-    return Row{e.id, registry.GenerateFeatures(e)};
-  };
-  auto rows = executor->ParallelMap(entities, fn);
+                      const ResourceRegistry& registry, ThreadPool* pool,
+                      FeatureStore* store, FeatureGenStats* stats) {
+  // Each slice writes only its own rows; the store is filled serially below.
+  constexpr size_t kSlices = 32;
+  std::vector<FeatureVector> rows(entities.size());
+  ForEachSlice(pool, entities.size(), kSlices,
+               [&rows, &entities, &registry](size_t, size_t begin, size_t end) {
+                 for (size_t i = begin; i < end; ++i) {
+                   rows[i] = registry.GenerateFeatures(entities[i]);
+                 }
+               });
   if (stats != nullptr && stats->populated.empty()) {
     stats->populated.assign(registry.schema().size(), 0);
   }
-  for (auto& [id, row] : rows) {
+  for (size_t i = 0; i < entities.size(); ++i) {
     if (stats != nullptr) {
       ++stats->rows;
-      for (size_t f = 0; f < row.size(); ++f) {
-        if (!row.Get(static_cast<FeatureId>(f)).is_missing()) {
+      for (size_t f = 0; f < rows[i].size(); ++f) {
+        if (!rows[i].Get(static_cast<FeatureId>(f)).is_missing()) {
           ++stats->populated[f];
         }
       }
     }
-    store->Put(id, std::move(row));
+    store->Put(entities[i].id, std::move(rows[i]));
   }
 }
 
 void GenerateFeatures(const std::vector<Entity>& entities,
                       const ResourceRegistry& registry, FeatureStore* store,
                       FeatureGenStats* stats) {
-  MapReduceExecutor executor;
-  GenerateFeatures(entities, registry, &executor, store, stats);
+  GenerateFeatures(entities, registry, nullptr, store, stats);
 }
 
 }  // namespace crossmodal

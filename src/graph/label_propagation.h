@@ -52,9 +52,6 @@ struct PropagationResult {
     const std::unordered_map<EntityId, double>& seeds,
     const PropagationOptions& options = PropagationOptions());
 
-// The distributed (MapReduce) variant lives one layer up, in
-// dataflow/distributed_propagation.h, so graph/ never depends on dataflow/.
-
 /// Tuned LF thresholds from held-out labeled scores.
 struct ScoreThresholds {
   double positive = 1.0;  ///< Score at/above which the LF votes positive.

@@ -1,4 +1,5 @@
-// Fixed-size thread pool used by the dataflow executor and batch trainers.
+// Fixed-size thread pool: the one parallel runtime. Stages drive it through
+// ForEachSlice (util/parallel.h).
 
 #ifndef CROSSMODAL_UTIL_THREAD_POOL_H_
 #define CROSSMODAL_UTIL_THREAD_POOL_H_

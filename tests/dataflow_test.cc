@@ -1,102 +1,14 @@
-#include <map>
-#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "audit/determinism.h"
 #include "dataflow/feature_generation.h"
-#include "dataflow/mapreduce.h"
 #include "synth/corpus_generator.h"
+#include "util/thread_pool.h"
 
 namespace crossmodal {
 namespace {
-
-TEST(MapReduceTest, WordCount) {
-  MapReduceExecutor executor(4, 8);
-  const std::vector<std::string> docs = {"a b a", "b c", "a"};
-  std::function<void(const std::string&, Emitter<std::string, int>*)> map_fn =
-      [](const std::string& doc, Emitter<std::string, int>* emitter) {
-        size_t start = 0;
-        while (start < doc.size()) {
-          size_t end = doc.find(' ', start);
-          if (end == std::string::npos) end = doc.size();
-          if (end > start) emitter->Emit(doc.substr(start, end - start), 1);
-          start = end + 1;
-        }
-      };
-  std::function<void(const std::string&, const std::vector<int>&,
-                     std::vector<std::pair<std::string, int>>*)>
-      reduce_fn = [](const std::string& word, const std::vector<int>& counts,
-                     std::vector<std::pair<std::string, int>>* out) {
-        int total = 0;
-        for (int c : counts) total += c;
-        out->emplace_back(word, total);
-      };
-  const auto result = executor.Run(docs, map_fn, reduce_fn);
-  std::map<std::string, int> counts(result.begin(), result.end());
-  EXPECT_EQ(counts.at("a"), 3);
-  EXPECT_EQ(counts.at("b"), 2);
-  EXPECT_EQ(counts.at("c"), 1);
-  EXPECT_EQ(counts.size(), 3u);
-}
-
-TEST(MapReduceTest, DeterministicAcrossRuns) {
-  MapReduceExecutor executor(4, 8);
-  std::vector<int> inputs(1000);
-  for (int i = 0; i < 1000; ++i) inputs[i] = i;
-  std::function<void(const int&, Emitter<int, int>*)> map_fn =
-      [](const int& x, Emitter<int, int>* e) { e->Emit(x % 7, x); };
-  std::function<void(const int&, const std::vector<int>&, std::vector<long>*)>
-      reduce_fn = [](const int& /*key*/, const std::vector<int>& vals,
-                     std::vector<long>* out) {
-        long sum = 0;
-        for (int v : vals) sum += v;
-        out->push_back(sum);
-      };
-  const auto r1 = executor.Run(inputs, map_fn, reduce_fn);
-  const auto r2 = executor.Run(inputs, map_fn, reduce_fn);
-  EXPECT_EQ(r1, r2);
-  long total = 0;
-  for (long s : r1) total += s;
-  EXPECT_EQ(total, 999L * 1000 / 2);
-}
-
-TEST(MapReduceTest, EmptyInput) {
-  MapReduceExecutor executor(2, 4);
-  std::function<void(const int&, Emitter<int, int>*)> map_fn =
-      [](const int&, Emitter<int, int>*) {};
-  std::function<void(const int&, const std::vector<int>&, std::vector<int>*)>
-      reduce_fn = [](const int&, const std::vector<int>&, std::vector<int>*) {
-      };
-  const auto result = executor.Run<int, int, int, int>({}, map_fn, reduce_fn);
-  EXPECT_TRUE(result.empty());
-}
-
-TEST(MapReduceTest, ParallelMapPreservesOrder) {
-  MapReduceExecutor executor(4);
-  std::vector<int> inputs(500);
-  for (int i = 0; i < 500; ++i) inputs[i] = i;
-  std::function<int(const int&)> fn = [](const int& x) { return x * x; };
-  const auto out = executor.ParallelMap(inputs, fn);
-  ASSERT_EQ(out.size(), 500u);
-  for (int i = 0; i < 500; ++i) EXPECT_EQ(out[static_cast<size_t>(i)], i * i);
-}
-
-TEST(MapReduceTest, MapperCanEmitMultiplePairs) {
-  MapReduceExecutor executor(2, 4);
-  const std::vector<int> inputs = {1, 2, 3};
-  std::function<void(const int&, Emitter<int, int>*)> map_fn =
-      [](const int& x, Emitter<int, int>* e) {
-        for (int k = 0; k < x; ++k) e->Emit(0, 1);
-      };
-  std::function<void(const int&, const std::vector<int>&, std::vector<int>*)>
-      reduce_fn = [](const int&, const std::vector<int>& vals,
-                     std::vector<int>* out) {
-        out->push_back(static_cast<int>(vals.size()));
-      };
-  const auto result = executor.Run(inputs, map_fn, reduce_fn);
-  ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0], 6);
-}
 
 TEST(FeatureGenerationTest, MaterializesAllEntities) {
   WorldConfig world;
@@ -115,27 +27,33 @@ TEST(FeatureGenerationTest, MaterializesAllEntities) {
 }
 
 TEST(FeatureGenerationTest, DeterministicAcrossExecutors) {
+  // The inline path (no pool) and the pooled path must materialize the same
+  // rows and count the same slots.
   WorldConfig world;
   CorpusGenerator gen(world, TaskSpec::CT(1).Scaled(0.02));
   const Corpus corpus = gen.Generate();
   auto registry = BuildModerationRegistry(gen, 11);
   ASSERT_TRUE(registry.ok());
-  FeatureStore store1(&registry->schema());
-  FeatureStore store2(&registry->schema());
-  MapReduceExecutor one_thread(1);
-  MapReduceExecutor many_threads(8);
-  GenerateFeatures(corpus.image_unlabeled, *registry, &one_thread, &store1);
-  GenerateFeatures(corpus.image_unlabeled, *registry, &many_threads, &store2);
-  for (const Entity& e : corpus.image_unlabeled) {
-    auto r1 = store1.Get(e.id);
-    auto r2 = store2.Get(e.id);
-    ASSERT_TRUE(r1.ok() && r2.ok());
-    ASSERT_EQ((*r1)->size(), (*r2)->size());
-    for (size_t f = 0; f < (*r1)->size(); ++f) {
-      EXPECT_EQ((*r1)->Get(static_cast<FeatureId>(f)),
-                (*r2)->Get(static_cast<FeatureId>(f)));
-    }
+  ThreadPool eight_threads(8);
+  std::vector<EntityId> ids;
+  FeatureStore serial_store(&registry->schema());
+  FeatureStore pooled_store(&registry->schema());
+  FeatureGenStats serial_stats;
+  FeatureGenStats pooled_stats;
+  for (const auto* split : {&corpus.text_labeled, &corpus.image_unlabeled,
+                            &corpus.image_labeled_pool, &corpus.image_test}) {
+    for (const Entity& e : *split) ids.push_back(e.id);
+    GenerateFeatures(*split, *registry, nullptr, &serial_store, &serial_stats);
+    GenerateFeatures(*split, *registry, &eight_threads, &pooled_store,
+                     &pooled_stats);
   }
+  EXPECT_EQ(serial_store.size(), ids.size());
+  EXPECT_EQ(DeterminismHarness::HashFeatureRows(serial_store, ids),
+            DeterminismHarness::HashFeatureRows(pooled_store, ids));
+  EXPECT_EQ(serial_stats.rows, ids.size());
+  EXPECT_EQ(serial_stats.rows, pooled_stats.rows);
+  ASSERT_EQ(serial_stats.populated.size(), registry->schema().size());
+  EXPECT_EQ(serial_stats.populated, pooled_stats.populated);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "synth/corpus_generator.h"
 #include "util/check.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace crossmodal {
 namespace {
@@ -350,9 +351,10 @@ TEST_F(FaultyRegistryTest, FaultyFeatureRowsAreScheduleIndependent) {
   std::vector<EntityId> order;
   for (const Entity& e : entities) order.push_back(e.id);
 
+  ThreadPool pool(4);
   auto hash_parallel = [&](ResourceRegistry& registry) {
     FeatureStore store(&registry.schema());
-    GenerateFeatures(entities, registry, &store);
+    GenerateFeatures(entities, registry, &pool, &store);
     return DeterminismHarness::HashFeatureRows(store, order);
   };
 

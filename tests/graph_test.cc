@@ -5,7 +5,6 @@
 #include "util/logging.h"
 
 #include "graph/knn_graph.h"
-#include "dataflow/distributed_propagation.h"
 #include "graph/label_propagation.h"
 #include "graph/similarity.h"
 #include "graph/similarity_search.h"
@@ -330,57 +329,6 @@ TEST(LabelPropagationTest, FailsWithoutSeeds) {
   SimilarityGraph empty;
   EXPECT_EQ(PropagateLabels(empty, {{1, 1.0}}).status().code(),
             StatusCode::kInvalidArgument);
-}
-
-
-TEST(LabelPropagationTest, DistributedMatchesSequential) {
-  // Random graph; the MapReduce variant must match the in-memory solver up
-  // to floating-point summation order.
-  Rng rng(77);
-  SimilarityGraph g;
-  const size_t n = 120;
-  g.nodes.resize(n);
-  g.adjacency.resize(n);
-  for (size_t i = 0; i < n; ++i) g.nodes[i] = i + 1;
-  for (size_t i = 0; i < n; ++i) {
-    for (int e = 0; e < 4; ++e) {
-      const uint32_t j = static_cast<uint32_t>(rng.UniformInt(n));
-      if (j == i) continue;
-      const float w = static_cast<float>(rng.Uniform(0.1, 1.0));
-      g.adjacency[i].emplace_back(j, w);
-      g.adjacency[j].emplace_back(static_cast<uint32_t>(i), w);
-    }
-  }
-  std::unordered_map<EntityId, double> seeds;
-  for (size_t i = 0; i < 15; ++i) {
-    seeds[g.nodes[i]] = rng.Bernoulli(0.4) ? 1.0 : 0.0;
-  }
-  PropagationOptions options;
-  options.max_iterations = 40;
-  options.alpha = 0.9;
-  options.prior = 0.2;
-  auto sequential = PropagateLabels(g, seeds, options);
-  auto distributed = PropagateLabelsDistributed(g, seeds, options, 4);
-  ASSERT_TRUE(sequential.ok() && distributed.ok());
-  EXPECT_EQ(sequential->iterations, distributed->iterations);
-  for (const auto& [id, score] : sequential->scores) {
-    EXPECT_NEAR(distributed->scores.at(id), score, 1e-9) << "node " << id;
-  }
-}
-
-TEST(LabelPropagationTest, DistributedHandlesIsolatedAndErrors) {
-  SimilarityGraph g;
-  g.nodes = {1, 2};
-  g.adjacency.resize(2);
-  PropagationOptions options;
-  options.prior = 0.3;
-  auto result = PropagateLabelsDistributed(g, {{1, 1.0}}, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_DOUBLE_EQ(result->scores.at(1), 1.0);
-  EXPECT_NEAR(result->scores.at(2), 0.3, 1e-9);
-  SimilarityGraph empty;
-  EXPECT_FALSE(PropagateLabelsDistributed(empty, {{1, 1.0}}).ok());
-  EXPECT_FALSE(PropagateLabelsDistributed(g, {{99, 1.0}}).ok());
 }
 
 // ---------- Threshold tuning ------------------------------------------------

@@ -28,7 +28,7 @@
 //   blocking-under-lock
 //                   a blocking operation — FeatureService::Call, artifact
 //                   IO (fstream / *Tsv / *Csv helpers), sleeping, or
-//                   ThreadPool::Submit / ParallelFor / ParallelMap —
+//                   ThreadPool::Submit / ParallelFor —
 //                   between a MutexLock construction and the end of its
 //                   scope, or inside a function annotated CM_REQUIRES
 //                   (which executes under a caller-held lock). Runs on src/
@@ -317,7 +317,7 @@ const std::vector<BlockingPattern>& BlockingPatterns() {
       {std::regex(R"((\.|->)Call\s*\()"),
        "a FeatureService::Call (an RPC in production)"},
       {std::regex(R"((\.|->|::)Submit\s*\()"), "ThreadPool::Submit"},
-      {std::regex(R"((\.|->)Parallel(For|Map)\s*\()"),
+      {std::regex(R"((\.|->)ParallelFor\s*\()"),
        "a parallel fan-out (blocks until every worker finishes)"},
       {std::regex(
            R"(\b(sleep_for|sleep_until|usleep|nanosleep|SleepFor)\s*(\(|\<))"),

@@ -5,10 +5,10 @@
 //
 //   shared-capture        mutable state captured by reference into a lambda
 //                         passed to ThreadPool::ParallelFor / ForEachSlice /
-//                         ParallelMap / Submit and written without
-//                         synchronization. Exempt: const, std::atomic,
-//                         Mutex objects, per-slot subscripted writes, writes
-//                         under a MutexLock inside the lambda, and
+//                         Submit and written without synchronization.
+//                         Exempt: const, std::atomic, Mutex objects,
+//                         per-slot subscripted writes, writes under a
+//                         MutexLock inside the lambda, and
 //                         `// cmrace: shared-ok — <why>` suppressions.
 //   guard-missing /       per mutex-owning class, fields written inside
 //   requires-missing      MutexLock scopes or CM_REQUIRES methods are
@@ -153,7 +153,7 @@ std::vector<WriteRef> ExtractWrites(const std::string& text, size_t begin,
 
 // ---------------------------------------------------------------------------
 // Parallel-lambda discovery: lambdas passed inline at ParallelFor /
-// ParallelMap / ForEachSlice / Submit call sites.
+// ForEachSlice / Submit call sites.
 // ---------------------------------------------------------------------------
 
 struct ParallelLambda {
@@ -190,16 +190,14 @@ std::set<std::string> ParseParamNames(const std::string& params_text) {
 
 /// Finds every lambda passed inline at a parallel-primitive call site in
 /// `file`. With `slice_only`, restricts to the data-parallel primitives
-/// (ParallelFor / ParallelMap / ForEachSlice) whose bodies the
-/// alloc-in-slice rule polices; Submit tasks are one-shot.
+/// (ParallelFor / ForEachSlice) whose bodies the alloc-in-slice rule
+/// polices; Submit tasks are one-shot.
 std::vector<ParallelLambda> FindParallelLambdas(const SourceFile& file,
                                                 bool slice_only) {
   const std::string& text = file.stripped_text;
   std::vector<ParallelLambda> out;
-  static const std::regex kAll(
-      R"(\b(ParallelFor|ParallelMap|ForEachSlice|Submit)\s*\()");
-  static const std::regex kSlice(
-      R"(\b(ParallelFor|ParallelMap|ForEachSlice)\s*\()");
+  static const std::regex kAll(R"(\b(ParallelFor|ForEachSlice|Submit)\s*\()");
+  static const std::regex kSlice(R"(\b(ParallelFor|ForEachSlice)\s*\()");
   const std::regex& trigger = slice_only ? kSlice : kAll;
   for (auto it = std::sregex_iterator(text.begin(), text.end(), trigger);
        it != std::sregex_iterator(); ++it) {
