@@ -2,9 +2,9 @@
 // generation, itemset mining, LF application, label-model fitting, kNN
 // graph construction, label propagation, encoding, and model training.
 //
-// The parallelized hot paths (kNN graph, propagation, trainers) take a
-// thread-count argument so 1-vs-N scaling shows up in one run. Besides the
-// console table, the run emits BENCH_micro_substrates.json (see
+// The parallelized hot paths (kNN graph, propagation, ensemble training)
+// take a thread-count argument so 1-vs-N scaling shows up in one run.
+// Besides the console table, the run emits BENCH_micro_substrates.json (see
 // BenchReporter in bench_common.h) for tools/bench_compare.cc.
 
 #include <benchmark/benchmark.h>
@@ -17,8 +17,7 @@
 #include "labeling/label_model.h"
 #include "mining/itemset_miner.h"
 #include "ml/encoder.h"
-#include "ml/logistic_regression.h"
-#include "ml/mlp.h"
+#include "ml/trainer.h"
 #include "synth/corpus_generator.h"
 #include "util/logging.h"
 
@@ -240,42 +239,36 @@ Dataset EncodedDataset(size_t cap) {
   return data;
 }
 
-void BM_LogisticRegressionTrain(benchmark::State& state) {
+/// Trains a 3-member ensemble of `kind` at state.range(0) threads: the
+/// members are the unit of training parallelism (TrainModel).
+void BenchEnsembleTrain(benchmark::State& state, ModelKind kind) {
   const Dataset data = EncodedDataset(2000);
-  TrainOptions options;
-  options.epochs = 3;
-  options.parallel.num_threads = static_cast<size_t>(state.range(0));
+  ModelSpec spec;
+  spec.kind = kind;
+  spec.hidden = {32};
+  spec.ensemble_size = 3;
+  spec.train.epochs = 3;
+  spec.train.parallel.num_threads = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    auto model = LogisticRegression::Train(data, options);
+    auto model = TrainModel(data, spec);
     CM_CHECK(model.ok());
-    benchmark::DoNotOptimize(model->bias());
+    benchmark::DoNotOptimize((*model)->embed_dim());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(data.size() * 3));
+                          static_cast<int64_t>(data.size() * 3 * 3));
   state.counters["threads"] =
-      static_cast<double>(options.parallel.num_threads);
+      static_cast<double>(spec.train.parallel.num_threads);
   state.counters["entities"] = static_cast<double>(data.size());
-  state.counters["seed"] = static_cast<double>(options.seed);
+  state.counters["seed"] = static_cast<double>(spec.train.seed);
+}
+
+void BM_LogisticRegressionTrain(benchmark::State& state) {
+  BenchEnsembleTrain(state, ModelKind::kLogisticRegression);
 }
 BENCHMARK(BM_LogisticRegressionTrain)->Arg(1)->Arg(4);
 
 void BM_MlpTrain(benchmark::State& state) {
-  const Dataset data = EncodedDataset(2000);
-  MlpOptions options;
-  options.hidden = {32};
-  options.train.epochs = 3;
-  options.train.parallel.num_threads = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    auto model = Mlp::Train(data, options);
-    CM_CHECK(model.ok());
-    benchmark::DoNotOptimize(model->embed_dim());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(data.size() * 3));
-  state.counters["threads"] =
-      static_cast<double>(options.train.parallel.num_threads);
-  state.counters["entities"] = static_cast<double>(data.size());
-  state.counters["seed"] = static_cast<double>(options.train.seed);
+  BenchEnsembleTrain(state, ModelKind::kMlp);
 }
 BENCHMARK(BM_MlpTrain)->Arg(1)->Arg(4);
 

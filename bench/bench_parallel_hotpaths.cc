@@ -1,8 +1,9 @@
 // Perf harness (not a paper table): measures the three parallelized hot
-// paths — kNN graph construction, label propagation, and the batch-parallel
-// trainers — on identical inputs at 1 thread vs CM_BENCH_THREADS (default 4)
-// threads, and checks the artifacts are bit-identical across thread counts
-// (the util/parallel.h fixed-slice determinism contract).
+// paths — kNN graph construction, label propagation, and ensemble training
+// (members train concurrently) — on identical inputs at 1 thread vs
+// CM_BENCH_THREADS (default 4) threads, and checks the artifacts are
+// bit-identical across thread counts (the util/parallel.h determinism
+// contract).
 //
 // Timing is warm-up + median-of-N (MedianWallMs). Besides the console
 // table, the run writes BENCH_parallel_hotpaths.json via BenchReporter; the
@@ -15,8 +16,7 @@
 #include "graph/knn_graph.h"
 #include "graph/label_propagation.h"
 #include "ml/encoder.h"
-#include "ml/logistic_regression.h"
-#include "ml/mlp.h"
+#include "ml/trainer.h"
 #include "util/hashing.h"
 
 using namespace crossmodal;
@@ -140,7 +140,7 @@ int main() {
     rows.push_back(prop_row);
   }
 
-  // ---- Batch-parallel trainers. ------------------------------------------
+  // ---- Ensemble trainers. ------------------------------------------------
   {
     EncoderOptions enc_options;
     enc_options.features = registry.schema().AllIds();
@@ -156,51 +156,42 @@ int main() {
       data.examples.push_back(std::move(ex));
     }
 
-    TrainOptions lr_serial;
-    lr_serial.epochs = 5;
-    lr_serial.parallel.num_threads = 1;
-    TrainOptions lr_parallel = lr_serial;
-    lr_parallel.parallel.num_threads = threads;
+    // Training parallelizes across ensemble members: each row trains a
+    // 3-member ensemble at 1 thread and at `threads` threads.
+    auto train_row = [&](const std::string& stage, const ModelSpec& serial) {
+      ModelSpec parallel = serial;
+      parallel.train.parallel.num_threads = threads;
+      auto m1 = TrainModel(data, serial);
+      auto mN = TrainModel(data, parallel);
+      CM_CHECK(m1.ok() && mN.ok());
+      StageRow row;
+      row.stage = stage;
+      row.entities = data.size();
+      row.identical =
+          HashModelScores(**m1, data) == HashModelScores(**mN, data);
+      row.serial_ms = MedianWallMs(warmup, reps, [&] {
+        CM_CHECK(TrainModel(data, serial).ok());
+      });
+      row.parallel_ms = MedianWallMs(warmup, reps, [&] {
+        CM_CHECK(TrainModel(data, parallel).ok());
+      });
+      rows.push_back(row);
+    };
 
-    auto m1 = LogisticRegression::Train(data, lr_serial);
-    auto mN = LogisticRegression::Train(data, lr_parallel);
-    CM_CHECK(m1.ok() && mN.ok());
+    ModelSpec lr_spec;
+    lr_spec.kind = ModelKind::kLogisticRegression;
+    lr_spec.ensemble_size = 3;
+    lr_spec.train.epochs = 5;
+    lr_spec.train.parallel.num_threads = 1;
+    train_row("logreg_train", lr_spec);
 
-    StageRow lr_row;
-    lr_row.stage = "logreg_train";
-    lr_row.entities = data.size();
-    lr_row.identical = HashModelScores(*m1, data) == HashModelScores(*mN, data);
-    lr_row.serial_ms = MedianWallMs(warmup, reps, [&] {
-      CM_CHECK(LogisticRegression::Train(data, lr_serial).ok());
-    });
-    lr_row.parallel_ms = MedianWallMs(warmup, reps, [&] {
-      CM_CHECK(LogisticRegression::Train(data, lr_parallel).ok());
-    });
-    rows.push_back(lr_row);
-
-    MlpOptions mlp_serial;
-    mlp_serial.hidden = {32};
-    mlp_serial.train.epochs = 3;
-    mlp_serial.train.parallel.num_threads = 1;
-    MlpOptions mlp_parallel = mlp_serial;
-    mlp_parallel.train.parallel.num_threads = threads;
-
-    auto mlp1 = Mlp::Train(data, mlp_serial);
-    auto mlpN = Mlp::Train(data, mlp_parallel);
-    CM_CHECK(mlp1.ok() && mlpN.ok());
-
-    StageRow mlp_row;
-    mlp_row.stage = "mlp_train";
-    mlp_row.entities = data.size();
-    mlp_row.identical =
-        HashModelScores(*mlp1, data) == HashModelScores(*mlpN, data);
-    mlp_row.serial_ms = MedianWallMs(warmup, reps, [&] {
-      CM_CHECK(Mlp::Train(data, mlp_serial).ok());
-    });
-    mlp_row.parallel_ms = MedianWallMs(warmup, reps, [&] {
-      CM_CHECK(Mlp::Train(data, mlp_parallel).ok());
-    });
-    rows.push_back(mlp_row);
+    ModelSpec mlp_spec;
+    mlp_spec.kind = ModelKind::kMlp;
+    mlp_spec.hidden = {32};
+    mlp_spec.ensemble_size = 3;
+    mlp_spec.train.epochs = 3;
+    mlp_spec.train.parallel.num_threads = 1;
+    train_row("mlp_train", mlp_spec);
   }
 
   // ---- Report. -----------------------------------------------------------

@@ -44,9 +44,9 @@ Result<LogisticRegression> LogisticRegression::Train(
   // Per-slice partial gradients: each of the kGradSlices fixed batch slices
   // accumulates into its own dense buffer (+ touched list for sparse
   // reset), then the partials are folded into `grad` in slice order. The
-  // summation tree depends only on the batch split, so the fitted weights
-  // are bit-identical whether the slices run inline or across workers.
-  StagePool stage_pool(options.parallel);
+  // slices run inline in slice order (training parallelizes across
+  // ensemble members instead, see TrainModel); the summation tree depends
+  // only on the batch split.
   std::vector<std::vector<double>> slice_grad(kGradSlices);
   std::vector<std::vector<uint32_t>> slice_touched(kGradSlices);
   std::vector<double> slice_grad_b(kGradSlices, 0.0);
@@ -60,8 +60,9 @@ Result<LogisticRegression> LogisticRegression::Train(
       const size_t end = std::min(n, start + options.batch_size);
       const size_t batch = end - start;
       std::fill(slice_grad_b.begin(), slice_grad_b.end(), 0.0);
-      ForEachSlice(stage_pool.get(), batch, kGradSlices,
-                   [&](size_t slice, size_t s_begin, size_t s_end) {
+      for (size_t slice = 0; slice < kGradSlices; ++slice) {
+        const auto [s_begin, s_end] = SliceBounds(batch, kGradSlices, slice);
+        if (s_begin == s_end) continue;
         auto& sg = slice_grad[slice];
         auto& st = slice_touched[slice];
         st.clear();
@@ -84,7 +85,7 @@ Result<LogisticRegression> LogisticRegression::Train(
           gb += g;
         }
         slice_grad_b[slice] = gb;
-      });
+      }
       // Fold partials in fixed slice order; clear them for the next batch.
       touched.clear();
       double grad_b = 0.0;

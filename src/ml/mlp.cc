@@ -114,29 +114,28 @@ Result<Mlp> Mlp::Train(const Dataset& data, const MlpOptions& options) {
 
   const TrainOptions& t = options.train;
 
-  // Per-slice gradient partials + forward/backward workspaces. Each of the
-  // kGradSlices fixed batch slices accumulates into its own buffers while
-  // reading the (frozen-within-batch) model weights; the partials fold into
-  // grad_* in slice order before the Adam step, so the summation tree — and
-  // therefore every fitted weight — is bit-identical at any thread count.
+  // Gradient partial + forward/backward workspaces of one batch slice. Each
+  // of the kGradSlices fixed slices runs inline in slice order (training
+  // parallelizes across ensemble members instead, see TrainModel): it
+  // accumulates into the zeroed partial while reading the
+  // frozen-within-batch weights, and the partial folds into grad_* before
+  // the next slice. The summation tree depends only on the batch split, so
+  // one partial serves all slices.
   struct SliceGrads {
     std::vector<std::vector<double>> grad_w, grad_b;
     std::vector<double> grad_out;
     double grad_out_b = 0.0;
     std::vector<std::vector<double>> acts, delta;  // workspaces
   };
-  StagePool stage_pool(t.parallel);
-  std::vector<SliceGrads> slices(kGradSlices);
-  for (auto& s : slices) {
-    s.grad_w.resize(num_hidden);
-    s.grad_b.resize(num_hidden);
-    for (size_t l = 0; l < num_hidden; ++l) {
-      s.grad_w[l].assign(model.weights_[l].size(), 0.0);
-      s.grad_b[l].assign(model.biases_[l].size(), 0.0);
-    }
-    s.grad_out.assign(h_last, 0.0);
-    s.delta.resize(num_hidden);
+  SliceGrads s;
+  s.grad_w.resize(num_hidden);
+  s.grad_b.resize(num_hidden);
+  for (size_t l = 0; l < num_hidden; ++l) {
+    s.grad_w[l].assign(model.weights_[l].size(), 0.0);
+    s.grad_b[l].assign(model.biases_[l].size(), 0.0);
   }
+  s.grad_out.assign(h_last, 0.0);
+  s.delta.resize(num_hidden);
 
   double beta1_t = 1.0, beta2_t = 1.0;
   const size_t n = data.size();
@@ -146,20 +145,22 @@ Result<Mlp> Mlp::Train(const Dataset& data, const MlpOptions& options) {
     for (size_t start = 0; start < n; start += t.batch_size) {
       const size_t end = std::min(n, start + t.batch_size);
       const size_t batch = end - start;
-      const size_t used_slices = std::min<size_t>(kGradSlices, batch);
-      for (size_t si = 0; si < used_slices; ++si) {
-        auto& s = slices[si];
+      for (size_t l = 0; l < num_hidden; ++l) {
+        std::fill(grad_w[l].begin(), grad_w[l].end(), 0.0);
+        std::fill(grad_b[l].begin(), grad_b[l].end(), 0.0);
+      }
+      std::fill(grad_out.begin(), grad_out.end(), 0.0);
+      grad_out_b[0] = 0.0;
+
+      for (size_t slice = 0; slice < kGradSlices; ++slice) {
+        const auto [s_begin, s_end] = SliceBounds(batch, kGradSlices, slice);
+        if (s_begin == s_end) continue;
         for (size_t l = 0; l < num_hidden; ++l) {
           std::fill(s.grad_w[l].begin(), s.grad_w[l].end(), 0.0);
           std::fill(s.grad_b[l].begin(), s.grad_b[l].end(), 0.0);
         }
         std::fill(s.grad_out.begin(), s.grad_out.end(), 0.0);
         s.grad_out_b = 0.0;
-      }
-
-      ForEachSlice(stage_pool.get(), batch, kGradSlices,
-                   [&](size_t slice, size_t s_begin, size_t s_end) {
-        auto& s = slices[slice];
         for (size_t k = s_begin; k < s_end; ++k) {
           const Example& ex = data.examples[perm[start + k]];
           model.Forward(ex.x, &s.acts);
@@ -210,17 +211,8 @@ Result<Mlp> Mlp::Train(const Dataset& data, const MlpOptions& options) {
           }
           for (size_t j = 0; j < h0; ++j) s.grad_b[0][j] += s.delta[0][j];
         }
-      });
 
-      // Fold slice partials in fixed slice order.
-      for (size_t l = 0; l < num_hidden; ++l) {
-        std::fill(grad_w[l].begin(), grad_w[l].end(), 0.0);
-        std::fill(grad_b[l].begin(), grad_b[l].end(), 0.0);
-      }
-      std::fill(grad_out.begin(), grad_out.end(), 0.0);
-      grad_out_b[0] = 0.0;
-      for (size_t si = 0; si < used_slices; ++si) {
-        const auto& s = slices[si];
+        // Fold this slice's partial in slice order.
         for (size_t l = 0; l < num_hidden; ++l) {
           for (size_t i = 0; i < grad_w[l].size(); ++i) {
             grad_w[l][i] += s.grad_w[l][i];

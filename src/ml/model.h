@@ -24,15 +24,17 @@ struct TrainOptions {
   uint64_t seed = 0x7EA1;
   /// Up-weights positive-leaning targets by this factor (class imbalance).
   double positive_weight = 1.0;
-  /// Batch gradients accumulate into per-slice partial sums (a fixed slice
-  /// count, independent of the thread count) combined in slice order, so
-  /// trained weights are bit-identical for every ParallelConfig.
+  /// How many ensemble members train at once; read only by TrainModel and
+  /// GridSearch through ModelSpec::train. A single model always trains
+  /// serially, so trained weights are bit-identical for every
+  /// ParallelConfig.
   ParallelConfig parallel;
 };
 
-/// Fixed number of gradient-accumulation slices per minibatch. Constant —
-/// never derived from the thread count — so the float summation tree of a
-/// batch gradient is the same whether 1 or N workers execute the slices.
+/// Fixed number of gradient-accumulation slices per minibatch. Each slice
+/// sums into a partial that folds into the batch gradient in slice order;
+/// the count is a constant so that float summation tree, and with it every
+/// fitted weight, never changes.
 inline constexpr size_t kGradSlices = 8;
 
 /// A trained binary classifier.

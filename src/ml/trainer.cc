@@ -1,9 +1,12 @@
 #include "ml/trainer.h"
 
+#include <algorithm>
+
 #include "ml/logistic_regression.h"
 #include "ml/metrics.h"
 #include "ml/mlp.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 #include "util/random.h"
 
 namespace crossmodal {
@@ -93,35 +96,37 @@ const char* ModelKindName(ModelKind kind) {
 
 Result<ModelPtr> TrainModel(const Dataset& data, const ModelSpec& spec) {
   if (spec.ensemble_size <= 1) return TrainSingle(data, spec);
-  std::vector<ModelPtr> members;
-  members.reserve(static_cast<size_t>(spec.ensemble_size));
-  for (int k = 0; k < spec.ensemble_size; ++k) {
+  // Members are independent (own derived seed, read-only data), so they
+  // train concurrently, each serially, into per-member slots; the ensemble
+  // is assembled in member order and the lowest-index error is returned,
+  // whatever the schedule.
+  const size_t n = static_cast<size_t>(spec.ensemble_size);
+  std::vector<ModelPtr> members(n);
+  std::vector<Status> status(n);
+  ParallelConfig config;
+  config.num_threads = std::min(spec.train.parallel.num_threads, n);
+  StagePool pool(config);
+  ForEachSlice(pool.get(), n, n, [&](size_t k, size_t, size_t) {
     ModelSpec member_spec = spec;
     member_spec.ensemble_size = 1;
-    member_spec.train.seed =
-        DeriveSeed(spec.train.seed, static_cast<uint64_t>(k));
-    CM_ASSIGN_OR_RETURN(ModelPtr member, TrainSingle(data, member_spec));
-    members.push_back(std::move(member));
-  }
+    member_spec.train.seed = DeriveSeed(spec.train.seed, k);
+    Result<ModelPtr> member = TrainSingle(data, member_spec);
+    status[k] = member.status();
+    if (member.ok()) members[k] = std::move(member).value();
+  });
+  for (const Status& s : status) CM_RETURN_IF_ERROR(s);
   return ModelPtr(std::make_unique<EnsembleModel>(std::move(members)));
 }
 
 namespace {
-double ValidationAuprc(const Model& model, const Dataset& val,
-                       const ParallelConfig& parallel) {
+double ValidationAuprc(const Model& model, const Dataset& val) {
   std::vector<double> scores(val.size());
   std::vector<int> labels(val.size());
-  // Scoring is read-only on the model and each index owns its output slot,
-  // so slices are independent and the AUPRC is thread-count-invariant.
-  StagePool pool(parallel);
-  ForEachSlice(pool.get(), val.size(), kGradSlices,
-               [&](size_t, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const Example& ex = val.examples[i];
-      scores[i] = model.Predict(ex.x);
-      labels[i] = ex.target >= 0.5f ? 1 : 0;
-    }
-  });
+  for (size_t i = 0; i < val.size(); ++i) {
+    const Example& ex = val.examples[i];
+    scores[i] = model.Predict(ex.x);
+    labels[i] = ex.target >= 0.5f ? 1 : 0;
+  }
   return AveragePrecision(scores, labels);
 }
 }  // namespace
@@ -145,7 +150,7 @@ Result<TuneResult> GridSearch(const Dataset& train, const Dataset& val,
         spec.train.l2 = l2;
         if (base.kind == ModelKind::kMlp) spec.hidden = stack;
         CM_ASSIGN_OR_RETURN(ModelPtr model, TrainModel(train, spec));
-        const double auprc = ValidationAuprc(*model, val, spec.train.parallel);
+        const double auprc = ValidationAuprc(*model, val);
         ++result.trials;
         if (auprc > result.best_val_auprc) {
           result.best_val_auprc = auprc;

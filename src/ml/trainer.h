@@ -26,7 +26,11 @@ struct ModelSpec {
   int ensemble_size = 1;
 };
 
-/// Trains the specified model on `data`.
+/// Trains the specified model on `data`. Ensemble members train
+/// concurrently on min(spec.train.parallel.num_threads, ensemble_size)
+/// workers, each serially with its own derived seed, so the model is the
+/// same at every thread count. If members fail, returns the error of the
+/// lowest-index one.
 [[nodiscard]] Result<ModelPtr> TrainModel(const Dataset& data, const ModelSpec& spec);
 
 /// Grid-search tuning configuration.
@@ -45,7 +49,9 @@ struct TuneResult {
 };
 
 /// Deterministic grid search maximizing validation AUPRC (validation targets
-/// must be hard labels). The stand-in for the paper's Vizier service.
+/// must be hard labels). The stand-in for the paper's Vizier service. Arms
+/// run one after another; each arm's ensemble members train concurrently
+/// as in TrainModel.
 [[nodiscard]] Result<TuneResult> GridSearch(const Dataset& train, const Dataset& val,
                               const ModelSpec& base,
                               const TunerOptions& options);

@@ -1,10 +1,12 @@
 // Deterministic parallel execution: ParallelConfig + fixed-slice helpers.
 //
 // The pipeline's hot paths (feature generation, kNN-graph construction,
-// label propagation, batch gradient accumulation) parallelize over *slices*
-// whose boundaries depend only on the problem size — never on the thread
-// count. Each slice owns its outputs (or a private partial accumulator), and
-// cross-slice reductions are combined serially in slice order afterwards.
+// label propagation) parallelize over *slices* whose boundaries depend only
+// on the problem size — never on the thread count; model training
+// parallelizes at coarser grain, one slice per ensemble member
+// (ml/trainer.cc). Each slice owns its outputs (or a private partial
+// accumulator), and cross-slice reductions are combined serially in slice
+// order afterwards.
 // Because the arithmetic structure is fixed, every ParallelConfig —
 // including num_threads = 1, which runs the slices inline without a pool —
 // produces bit-identical artifacts; threads only change the schedule.

@@ -450,6 +450,50 @@ TEST(TrainerTest, EnsembleAveragesMembers) {
               1e-12);
 }
 
+TEST(TrainerTest, EnsembleMatchesSeriallyTrainedMembers) {
+  // Members train concurrently; each must still be exactly the model
+  // trained alone with its derived seed, averaged in member order.
+  const Dataset train = LinearDataset(600, 23);
+  ModelSpec spec;
+  spec.kind = ModelKind::kMlp;
+  spec.hidden = {4};
+  spec.train.epochs = 4;
+  spec.train.parallel.num_threads = 4;
+  spec.ensemble_size = 3;
+  auto ensemble = TrainModel(train, spec);
+  ASSERT_TRUE(ensemble.ok());
+
+  std::vector<ModelPtr> members;
+  for (int k = 0; k < spec.ensemble_size; ++k) {
+    ModelSpec single = spec;
+    single.ensemble_size = 1;
+    single.train.parallel.num_threads = 1;
+    single.train.seed = DeriveSeed(spec.train.seed, static_cast<uint64_t>(k));
+    auto member = TrainModel(train, single);
+    ASSERT_TRUE(member.ok());
+    members.push_back(std::move(member).value());
+  }
+  for (size_t i = 0; i < 50; ++i) {
+    const SparseRow& x = train.examples[i].x;
+    double total = 0.0;
+    for (const auto& m : members) total += m->Predict(x);
+    EXPECT_EQ((*ensemble)->Predict(x),
+              total / static_cast<double>(members.size()));
+  }
+}
+
+TEST(TrainerTest, ParallelEnsembleRejectsEmptyData) {
+  ModelSpec spec;
+  spec.ensemble_size = 3;
+  spec.train.parallel.num_threads = 4;
+  for (const ModelKind kind :
+       {ModelKind::kLogisticRegression, ModelKind::kMlp}) {
+    spec.kind = kind;
+    EXPECT_EQ(TrainModel(Dataset{}, spec).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(TrainerTest, EnsembleReducesSeedVariance) {
   // Train several single models and several ensembles across seeds and
   // compare the spread of their predictions on one probe point.

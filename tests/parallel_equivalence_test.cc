@@ -22,8 +22,7 @@
 #include "graph/knn_graph.h"
 #include "graph/label_propagation.h"
 #include "ml/encoder.h"
-#include "ml/logistic_regression.h"
-#include "ml/mlp.h"
+#include "ml/trainer.h"
 #include "resources/registry.h"
 #include "synth/corpus_generator.h"
 #include "util/hashing.h"
@@ -144,36 +143,34 @@ TEST(ParallelEquivalenceTest, KnnGraphAndPropagationBitIdentical) {
 }
 
 TEST(ParallelEquivalenceTest, TrainedWeightsBitIdentical) {
+  // Training parallelizes across ensemble members, so the property is over
+  // TrainModel with several members: the thread count changes which worker
+  // trains a member, never the member or the order they are averaged in.
   for (uint64_t seed : PropertySeeds(2)) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     TestWorld w(seed);
     const Dataset data = EncodeDataset(w, 600);
     ASSERT_GE(data.size(), 100u);
 
-    TrainOptions serial;
-    serial.epochs = 3;
-    serial.seed = DeriveSeed(seed, "train");
-    serial.parallel.num_threads = 1;
-    TrainOptions parallel = serial;
-    parallel.parallel.num_threads = kThreads;
-
-    auto lr1 = LogisticRegression::Train(data, serial);
-    auto lrN = LogisticRegression::Train(data, parallel);
-    ASSERT_TRUE(lr1.ok() && lrN.ok());
-    // LR exposes its weights: compare the raw parameter vector exactly.
-    EXPECT_EQ(HashDoubles(lr1->weights()), HashDoubles(lrN->weights()));
-    EXPECT_EQ(lr1->bias(), lrN->bias());
-
-    MlpOptions mlp_serial;
-    mlp_serial.hidden = {16};
-    mlp_serial.train = serial;
-    MlpOptions mlp_parallel = mlp_serial;
-    mlp_parallel.train = parallel;
-
-    auto mlp1 = Mlp::Train(data, mlp_serial);
-    auto mlpN = Mlp::Train(data, mlp_parallel);
-    ASSERT_TRUE(mlp1.ok() && mlpN.ok());
-    EXPECT_EQ(HashPredictions(*mlp1, data), HashPredictions(*mlpN, data));
+    for (const ModelKind kind :
+         {ModelKind::kLogisticRegression, ModelKind::kMlp}) {
+      SCOPED_TRACE(ModelKindName(kind));
+      ModelSpec spec;
+      spec.kind = kind;
+      spec.hidden = {16};
+      spec.ensemble_size = 3;
+      spec.train.epochs = 3;
+      spec.train.seed = DeriveSeed(seed, "train");
+      std::vector<uint64_t> hashes;
+      for (const size_t threads : {size_t{1}, kThreads, size_t{8}}) {
+        spec.train.parallel.num_threads = threads;
+        auto model = TrainModel(data, spec);
+        ASSERT_TRUE(model.ok()) << model.status();
+        hashes.push_back(HashPredictions(**model, data));
+      }
+      EXPECT_EQ(hashes[0], hashes[1]);
+      EXPECT_EQ(hashes[0], hashes[2]);
+    }
   }
 }
 
