@@ -188,21 +188,17 @@ void BM_LabelPropagation(benchmark::State& state) {
     const Entity& e = w.corpus.text_labeled[i];
     seeds[e.id] = e.label == 1 ? 1.0 : 0.0;
   }
-  PropagationOptions options;
-  options.parallel.num_threads = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    auto result = PropagateLabels(*graph, seeds, options);
+    auto result = PropagateLabels(*graph, seeds);
     CM_CHECK(result.ok());
     benchmark::DoNotOptimize(result->iterations);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(graph->num_nodes()));
-  state.counters["threads"] =
-      static_cast<double>(options.parallel.num_threads);
   state.counters["entities"] = static_cast<double>(graph->num_nodes());
   state.counters["seed"] = static_cast<double>(w.task.seed);
 }
-BENCHMARK(BM_LabelPropagation)->Arg(1)->Arg(4);
+BENCHMARK(BM_LabelPropagation);  // one serial loop: no thread variants
 
 void BM_EncodeRows(benchmark::State& state) {
   MicroWorld& w = World();

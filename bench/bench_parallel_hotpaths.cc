@@ -1,9 +1,9 @@
-// Perf harness (not a paper table): measures the three parallelized hot
-// paths — kNN graph construction, label propagation, and ensemble training
-// (members train concurrently) — on identical inputs at 1 thread vs
-// CM_BENCH_THREADS (default 4) threads, and checks the artifacts are
-// bit-identical across thread counts (the util/parallel.h determinism
-// contract).
+// Perf harness (not a paper table): measures the parallelized hot paths —
+// kNN graph construction and ensemble training (members train
+// concurrently) — on identical inputs at 1 thread vs CM_BENCH_THREADS
+// (default 4) threads, and checks the artifacts are bit-identical across
+// thread counts (the util/parallel.h determinism contract). Label
+// propagation, a serial loop, gets a 1-thread row only.
 //
 // Timing is warm-up + median-of-N (MedianWallMs). Besides the console
 // table, the run writes BENCH_parallel_hotpaths.json via BenchReporter; the
@@ -41,6 +41,7 @@ struct StageRow {
   double serial_ms = 0.0;
   double parallel_ms = 0.0;
   bool identical = false;
+  bool serial_only = false;  ///< No thread-count variant to time or compare.
 };
 
 }  // namespace
@@ -116,26 +117,13 @@ int main() {
     }
     auto prop_graph = BuildKnnGraph(prop_nodes, store, sim, parallel);
     CM_CHECK(prop_graph.ok());
-    PropagationOptions prop_serial;
-    prop_serial.parallel.num_threads = 1;
-    PropagationOptions prop_parallel = prop_serial;
-    prop_parallel.parallel.num_threads = threads;
-
-    auto p1 = PropagateLabels(*prop_graph, seeds, prop_serial);
-    auto pN = PropagateLabels(*prop_graph, seeds, prop_parallel);
-    CM_CHECK(p1.ok() && pN.ok());
-
+    // Propagation is one serial loop: only its 1-thread row is measured.
     StageRow prop_row;
     prop_row.stage = "label_propagation";
     prop_row.entities = prop_graph->num_nodes();
-    prop_row.identical =
-        DeterminismHarness::HashPropagationScores(p1->scores, prop_nodes) ==
-        DeterminismHarness::HashPropagationScores(pN->scores, prop_nodes);
+    prop_row.serial_only = true;
     prop_row.serial_ms = MedianWallMs(warmup, reps, [&] {
-      CM_CHECK(PropagateLabels(*prop_graph, seeds, prop_serial).ok());
-    });
-    prop_row.parallel_ms = MedianWallMs(warmup, reps, [&] {
-      CM_CHECK(PropagateLabels(*prop_graph, seeds, prop_parallel).ok());
+      CM_CHECK(PropagateLabels(*prop_graph, seeds).ok());
     });
     rows.push_back(prop_row);
   }
@@ -201,6 +189,13 @@ int main() {
   BenchReporter json("parallel_hotpaths");
   bool all_identical = true;
   for (const StageRow& row : rows) {
+    json.AddStage(BenchStage{row.stage, row.serial_ms, 1, row.entities,
+                             task.seed, reps});
+    if (row.serial_only) {
+      table.AddRow({row.stage, std::to_string(row.entities),
+                    TablePrinter::Num(row.serial_ms, 2), "-", "-", "-"});
+      continue;
+    }
     all_identical = all_identical && row.identical;
     table.AddRow({row.stage, std::to_string(row.entities),
                   TablePrinter::Num(row.serial_ms, 2),
@@ -208,8 +203,6 @@ int main() {
                   TablePrinter::Factor(row.serial_ms /
                                        std::max(row.parallel_ms, 1e-9)),
                   row.identical ? "yes" : "NO"});
-    json.AddStage(BenchStage{row.stage, row.serial_ms, 1, row.entities,
-                             task.seed, reps});
     json.AddStage(BenchStage{row.stage, row.parallel_ms, threads,
                              row.entities, task.seed, reps});
   }

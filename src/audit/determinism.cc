@@ -203,10 +203,9 @@ Result<StageHashes> RunStack(const DeterminismOptions& options) {
   config.seed = options.seed;
   config.parallel.num_threads = options.num_threads;
   // The pipeline constructor fans config.parallel out to its own copy of the
-  // stage options; the standalone BuildKnnGraph/PropagateLabels calls below
-  // read this local config directly, so mirror the fan-out here.
+  // stage options; the standalone BuildKnnGraph call below reads this local
+  // config directly, so mirror the fan-out here.
   config.curation.graph.parallel = config.parallel;
-  config.curation.propagation.parallel = config.parallel;
   config.model.train.parallel = config.parallel;
   // Reduced-footprint fit so the ctest entry stays fast; the audited code
   // paths (mining, propagation, EM, fusion training) are all exercised.

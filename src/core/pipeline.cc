@@ -20,7 +20,6 @@ CrossModalPipeline::CrossModalPipeline(const ResourceRegistry* registry,
   // One knob drives every measured hot path: fan the pipeline-level
   // ParallelConfig out to the stage options consumed downstream.
   config_.curation.graph.parallel = config_.parallel;
-  config_.curation.propagation.parallel = config_.parallel;
   config_.model.train.parallel = config_.parallel;
 }
 

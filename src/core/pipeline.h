@@ -72,9 +72,9 @@ struct PipelineConfig {
   /// write files itself).
   StoreFormat store_format = StoreFormat::kTsv;
   /// Worker budget for the measured hot paths (feature generation, kNN
-  /// graph, label propagation, model training). Overrides the per-stage
-  /// ParallelConfig in curation.graph / curation.propagation / model.train;
-  /// every value produces bit-identical artifacts (util/parallel.h).
+  /// graph, model training). Overrides the per-stage ParallelConfig in
+  /// curation.graph / model.train; every value produces bit-identical
+  /// artifacts (util/parallel.h).
   ParallelConfig parallel;
 };
 

@@ -10,6 +10,7 @@
 #define CROSSMODAL_FEATURES_FEATURE_VALUE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -24,6 +25,28 @@ enum class FeatureType : uint8_t {
 };
 
 const char* FeatureTypeName(FeatureType type);
+
+/// Jaccard similarity of two sorted, deduplicated category sets, in [0, 1];
+/// two empty sets are defined to have similarity 1. Any int32 id is valid.
+inline double JaccardIndex(std::span<const int32_t> a,
+                           std::span<const int32_t> b) {
+  if (a.empty() && b.empty()) return 1.0;
+  size_t inter = 0;
+  size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] == b[j]) {
+      ++inter;
+      ++i;
+      ++j;
+    } else if (a[i] < b[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  const size_t uni = a.size() + b.size() - inter;
+  return static_cast<double>(inter) / static_cast<double>(uni);
+}
 
 /// A single feature value; missing by default.
 class FeatureValue {
@@ -50,9 +73,8 @@ class FeatureValue {
   /// True if this is a categorical value containing `category`.
   bool HasCategory(int32_t category) const;
 
-  /// Jaccard similarity of two categorical values in [0, 1]. Two empty sets
-  /// are defined to have similarity 1. Both values must be categorical and
-  /// present.
+  /// JaccardIndex of two categorical values' category sets. Both values
+  /// must be categorical and present.
   static double Jaccard(const FeatureValue& a, const FeatureValue& b);
 
   /// Debug rendering, e.g. "{3,17}", "0.25", "emb[16]", "∅".

@@ -19,20 +19,16 @@ double SimilarityGraph::AverageDegree() const {
          static_cast<double>(nodes.size());
 }
 
-Result<SimilarityGraph> BuildKnnGraph(const std::vector<EntityId>& entities,
-                                      const FeatureStore& store,
-                                      const FeatureSimilarity& similarity,
-                                      const KnnGraphOptions& options) {
-  const size_t n = entities.size();
-  SimilarityGraph graph;
-  graph.nodes = entities;
-  graph.adjacency.assign(n, {});
-  if (n == 0) return graph;
+namespace {
 
-  std::vector<const FeatureVector*> rows(n);
-  for (size_t i = 0; i < n; ++i) {
-    CM_ASSIGN_OR_RETURN(rows[i], store.Get(entities[i]));
-  }
+/// Top-k neighbors (weight, node index) of each of the table's rows: the
+/// blocking pass and the exact Algorithm-1 scoring both read `table`,
+/// never a FeatureValue.
+std::vector<std::vector<std::pair<float, uint32_t>>> SelectNeighbors(
+    const PackedFeatureRows& table, const FeatureSimilarity& similarity,
+    const KnnGraphOptions& options) {
+  const size_t n = table.num_rows();
+  const std::vector<FeatureId>& features = similarity.features();
 
   // ---- Blocking pass: inverted index over categorical items. ----------
   // Item key packs (feature id, category) into one 64-bit key.
@@ -42,11 +38,10 @@ Result<SimilarityGraph> BuildKnnGraph(const std::vector<EntityId>& entities,
   };
   std::unordered_map<uint64_t, std::vector<uint32_t>> postings;
   for (size_t i = 0; i < n; ++i) {
-    for (FeatureId f : similarity.features()) {
-      const FeatureValue& v = rows[i]->Get(f);
-      if (v.is_missing() || v.type() != FeatureType::kCategorical) continue;
-      for (int32_t c : v.categories()) {
-        postings[item_key(f, c)].push_back(static_cast<uint32_t>(i));
+    for (size_t idx = 0; idx < features.size(); ++idx) {
+      for (int32_t c : table.categories(i, idx)) {
+        postings[item_key(features[idx], c)].push_back(
+            static_cast<uint32_t>(i));
       }
     }
   }
@@ -56,7 +51,7 @@ Result<SimilarityGraph> BuildKnnGraph(const std::vector<EntityId>& entities,
   // Top-k edge selection per node.
   std::vector<std::vector<std::pair<float, uint32_t>>> best(n);
 
-  // Per-node selection only reads shared state (rows, postings) and writes
+  // Per-node selection only reads shared state (table, postings) and writes
   // its own best[i] slot, so nodes are sliced across workers. Each node's
   // random candidates come from a seed derived from the node index — not a
   // shared stream — so the graph is bit-identical for every thread count.
@@ -77,11 +72,9 @@ Result<SimilarityGraph> BuildKnnGraph(const std::vector<EntityId>& entities,
     for (size_t i = begin; i < end; ++i) {
       // Score candidates by number of shared items.
       touched.clear();
-      for (FeatureId f : similarity.features()) {
-        const FeatureValue& v = rows[i]->Get(f);
-        if (v.is_missing() || v.type() != FeatureType::kCategorical) continue;
-        for (int32_t c : v.categories()) {
-          const auto& list = postings.at(item_key(f, c));
+      for (size_t idx = 0; idx < features.size(); ++idx) {
+        for (int32_t c : table.categories(i, idx)) {
+          const auto& list = postings.at(item_key(features[idx], c));
           if (list.size() > stop_threshold) continue;  // stop-item
           for (uint32_t j : list) {
             if (j == i) continue;
@@ -125,7 +118,7 @@ Result<SimilarityGraph> BuildKnnGraph(const std::vector<EntityId>& entities,
       // once, at its final (pruned) size.
       scored.clear();
       for (uint32_t j : candidates) {
-        const double w = similarity.Weight(*rows[i], *rows[j]);
+        const double w = similarity.Weight(table, i, table, j);
         if (w < options.min_weight) continue;
         scored.emplace_back(static_cast<float>(w), j);
       }
@@ -147,6 +140,31 @@ Result<SimilarityGraph> BuildKnnGraph(const std::vector<EntityId>& entities,
       best[i].assign(scored.begin(), scored.end());
     }
   });
+  return best;
+}
+
+}  // namespace
+
+Result<SimilarityGraph> BuildKnnGraph(const std::vector<EntityId>& entities,
+                                      const FeatureStore& store,
+                                      const FeatureSimilarity& similarity,
+                                      const KnnGraphOptions& options) {
+  const size_t n = entities.size();
+  SimilarityGraph graph;
+  graph.nodes = entities;
+  graph.adjacency.assign(n, {});
+  if (n == 0) return graph;
+
+  std::vector<const FeatureVector*> rows(n);
+  for (size_t i = 0; i < n; ++i) {
+    CM_ASSIGN_OR_RETURN(rows[i], store.Get(entities[i]));
+  }
+  // Every row's graph features, packed once before the slices run. The
+  // table (and the postings built from it) is freed before symmetrization
+  // allocates the adjacency lists.
+  const std::vector<std::vector<std::pair<float, uint32_t>>> best =
+      SelectNeighbors(PackedFeatureRows(rows, similarity.features()),
+                      similarity, options);
 
   // Symmetrize: union of both directions.
   for (size_t i = 0; i < n; ++i) {

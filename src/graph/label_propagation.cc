@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "util/logging.h"
@@ -16,58 +17,63 @@ Result<PropagationResult> PropagateLabels(
   if (n == 0) return Status::InvalidArgument("graph has no nodes");
 
   std::vector<double> score(n, options.prior);
-  std::vector<char> clamped(n, 0);
-  size_t num_seeds = 0;
+  // Unclamped nodes only; seeds keep their clamped score in both buffers.
+  std::vector<uint32_t> free_nodes;
   for (size_t i = 0; i < n; ++i) {
     auto it = seeds.find(graph.nodes[i]);
     if (it != seeds.end()) {
       score[i] = it->second;
-      clamped[i] = 1;
-      ++num_seeds;
+    } else {
+      free_nodes.push_back(static_cast<uint32_t>(i));
     }
   }
-  if (num_seeds == 0) {
+  if (free_nodes.size() == n) {
     return Status::FailedPrecondition("no seed label matches a graph node");
   }
 
+  // The adjacency flattened once (CSR), with each node's weight total: the
+  // totals do not change across iterations, and every sweep then streams
+  // two flat arrays instead of one heap vector per node.
+  std::vector<uint32_t> edge_begin(n + 1, 0);
+  size_t num_entries = 0;
+  for (size_t i = 0; i < n; ++i) {
+    num_entries += graph.adjacency[i].size();
+    CM_CHECK(num_entries <= UINT32_MAX) << "graph too large for CSR offsets";
+    edge_begin[i + 1] = static_cast<uint32_t>(num_entries);
+  }
+  std::vector<uint32_t> neighbor(num_entries);
+  std::vector<float> weight(num_entries);
+  std::vector<double> weight_total(n, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t e = edge_begin[i];
+    for (const auto& [j, w] : graph.adjacency[i]) {
+      neighbor[e] = j;
+      weight[e] = w;
+      weight_total[i] += w;
+      ++e;
+    }
+  }
+
   PropagationResult result;
-  std::vector<double> next(n);
+  std::vector<double> next = score;
   // Double-buffered sweep: every node reads only `score` (the previous
-  // iteration) and writes only its own `next` slot, so slices are
-  // independent and the sweep is bit-identical at any thread count. The
-  // convergence delta reduces through per-slice maxima combined in slice
-  // order (max is order-insensitive anyway; the fixed order keeps the
-  // reduction structurally deterministic).
-  StagePool stage_pool(options.parallel);
-  constexpr size_t kSlices = 32;
-  std::vector<double> slice_delta(kSlices);
+  // iteration) and writes only its own `next` slot, so the node order
+  // cannot leak into the results.
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
-    std::fill(slice_delta.begin(), slice_delta.end(), 0.0);
-    ForEachSlice(stage_pool.get(), n, kSlices,
-                 [&](size_t slice, size_t begin, size_t end) {
-      double local_delta = 0.0;
-      for (size_t i = begin; i < end; ++i) {
-        if (clamped[i]) {
-          next[i] = score[i];
-          continue;
-        }
-        double weighted = 0.0;
-        double total = 0.0;
-        for (const auto& [j, w] : graph.adjacency[i]) {
-          weighted += static_cast<double>(w) * score[j];
-          total += w;
-        }
-        const double neighborhood =
-            total > 0.0 ? weighted / total : options.prior;
-        next[i] = options.alpha * neighborhood +
-                  (1.0 - options.alpha) * options.prior;
-        local_delta = std::max(local_delta, std::abs(next[i] - score[i]));
-      }
-      slice_delta[slice] = local_delta;
-    });
     double max_delta = 0.0;
-    for (double d : slice_delta) max_delta = std::max(max_delta, d);
+    for (uint32_t i : free_nodes) {
+      double weighted = 0.0;
+      for (uint32_t e = edge_begin[i]; e < edge_begin[i + 1]; ++e) {
+        weighted += static_cast<double>(weight[e]) * score[neighbor[e]];
+      }
+      const double total = weight_total[i];
+      const double neighborhood =
+          total > 0.0 ? weighted / total : options.prior;
+      next[i] = options.alpha * neighborhood +
+                (1.0 - options.alpha) * options.prior;
+      max_delta = std::max(max_delta, std::abs(next[i] - score[i]));
+    }
     score.swap(next);
     result.final_delta = max_delta;
     if (max_delta < options.tolerance) {

@@ -28,10 +28,8 @@ struct PropagationOptions {
   /// (1 - alpha) * prior. alpha = 1 is pure Zhu–Ghahramani.
   double alpha = 0.95;
   double prior = 0.1;  ///< Initial/fallback score for unlabeled nodes.
-  /// The per-node sweep is sliced across this many workers. Scores are
-  /// double-buffered (every node reads the previous iteration's buffer and
-  /// writes only its own slot), so iteration order cannot leak into the
-  /// results and every thread count is bit-identical.
+  /// Ignored: the sweep is one serial loop. Kept only until the benchmark
+  /// harness, which still writes it, drops it in its next change.
   ParallelConfig parallel;
 };
 

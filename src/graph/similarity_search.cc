@@ -18,24 +18,24 @@ uint64_t ItemKey(FeatureId f, int32_t c) {
 }  // namespace
 
 SimilarityIndex::SimilarityIndex(std::vector<EntityId> entities,
-                                 std::vector<const FeatureVector*> rows,
+                                 const std::vector<const FeatureVector*>& rows,
                                  FeatureSimilarity similarity,
                                  SimilarityIndexOptions options)
     : entities_(std::move(entities)),
-      rows_(std::move(rows)),
+      rows_(rows, similarity.features()),
       similarity_(std::move(similarity)),
       options_(options) {
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    for (FeatureId f : similarity_.features()) {
-      const FeatureValue& v = rows_[i]->Get(f);
-      if (v.is_missing() || v.type() != FeatureType::kCategorical) continue;
-      for (int32_t c : v.categories()) {
-        postings_[ItemKey(f, c)].push_back(static_cast<uint32_t>(i));
+  const std::vector<FeatureId>& features = similarity_.features();
+  for (size_t i = 0; i < rows_.num_rows(); ++i) {
+    for (size_t idx = 0; idx < features.size(); ++idx) {
+      for (int32_t c : rows_.categories(i, idx)) {
+        postings_[ItemKey(features[idx], c)].push_back(
+            static_cast<uint32_t>(i));
       }
     }
   }
   stop_threshold_ = std::max<size_t>(
-      8, static_cast<size_t>(options_.stop_item_fraction * rows_.size()));
+      8, static_cast<size_t>(options_.stop_item_fraction * rows_.num_rows()));
 }
 
 Result<SimilarityIndex> SimilarityIndex::Build(
@@ -45,19 +45,18 @@ Result<SimilarityIndex> SimilarityIndex::Build(
   for (size_t i = 0; i < entities.size(); ++i) {
     CM_ASSIGN_OR_RETURN(rows[i], store.Get(entities[i]));
   }
-  return SimilarityIndex(entities, std::move(rows), std::move(similarity),
-                         options);
+  return SimilarityIndex(entities, rows, std::move(similarity), options);
 }
 
 std::vector<Neighbor> SimilarityIndex::Query(const FeatureVector& row,
                                              size_t k) const {
+  const std::vector<FeatureId>& features = similarity_.features();
+  const PackedFeatureRows query({&row}, features);
   // Candidate generation: entities sharing non-stop categorical items.
   std::unordered_map<uint32_t, uint32_t> shared;
-  for (FeatureId f : similarity_.features()) {
-    const FeatureValue& v = row.Get(f);
-    if (v.is_missing() || v.type() != FeatureType::kCategorical) continue;
-    for (int32_t c : v.categories()) {
-      auto it = postings_.find(ItemKey(f, c));
+  for (size_t idx = 0; idx < features.size(); ++idx) {
+    for (int32_t c : query.categories(0, idx)) {
+      auto it = postings_.find(ItemKey(features[idx], c));
       if (it == postings_.end() || it->second.size() > stop_threshold_) {
         continue;
       }
@@ -76,17 +75,17 @@ std::vector<Neighbor> SimilarityIndex::Query(const FeatureVector& row,
   }
   // Random extras keep queries working when the row shares no rare item.
   Rng rng(DeriveSeed(options_.seed, candidates.size()));
-  for (size_t r = 0; r < options_.random_candidates && !rows_.empty(); ++r) {
-    candidates.emplace_back(
-        static_cast<uint32_t>(rng.UniformInt(rows_.size())), 0);
+  const size_t n = rows_.num_rows();
+  for (size_t r = 0; r < options_.random_candidates && n > 0; ++r) {
+    candidates.emplace_back(static_cast<uint32_t>(rng.UniformInt(n)), 0);
   }
 
   std::vector<Neighbor> hits;
-  std::vector<char> seen(rows_.size(), 0);
+  std::vector<char> seen(n, 0);
   for (const auto& [i, count] : candidates) {
     if (seen[i]) continue;
     seen[i] = 1;
-    const double w = similarity_.Weight(row, *rows_[i]);
+    const double w = similarity_.Weight(query, 0, rows_, i);
     if (w < options_.min_weight) continue;
     hits.push_back(Neighbor{entities_[i], w});
   }

@@ -55,12 +55,12 @@ class SimilarityIndex {
 
  private:
   SimilarityIndex(std::vector<EntityId> entities,
-                  std::vector<const FeatureVector*> rows,
+                  const std::vector<const FeatureVector*>& rows,
                   FeatureSimilarity similarity,
                   SimilarityIndexOptions options);
 
   std::vector<EntityId> entities_;
-  std::vector<const FeatureVector*> rows_;
+  PackedFeatureRows rows_;  // packed over similarity_.features()
   FeatureSimilarity similarity_;
   SimilarityIndexOptions options_;
   std::unordered_map<uint64_t, std::vector<uint32_t>> postings_;

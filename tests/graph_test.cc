@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -100,6 +101,142 @@ TEST(SimilarityTest, MissingFeaturesSkipped) {
   EXPECT_DOUBLE_EQ(sim.Weight(a, c), 1.0);  // only shared feature matches
 }
 
+// ---------- Packed kernel: hand-computed weights ----------------------------
+//
+// FeatureSimilarity scores rows from a PackedFeatureRows table. These cases
+// pin each per-feature rule of the kernel with the scales left at 1.0 (no
+// FitNormalization), so a numeric feature contributes exp(-|a - b|).
+
+TEST(PackedKernelTest, MissingOnOneSideSkipsTheFeature) {
+  const FeatureSchema schema = GraphSchema();
+  FeatureSimilarity sim(&schema, {0, 1, 2});
+  FeatureVector a(3);
+  a.Set(0, FeatureValue::Categorical({1, 2}));
+  a.Set(1, FeatureValue::Numeric(0.0));
+  FeatureVector b(3);  // tags and embedding missing
+  b.Set(1, FeatureValue::Numeric(1.0));
+  b.Set(2, FeatureValue::Embedding({1, 0, 0}));
+  // Only the numeric feature is present in both rows.
+  EXPECT_DOUBLE_EQ(sim.Weight(a, b), std::exp(-1.0));
+}
+
+TEST(PackedKernelTest, TypeMismatchSkipsTheFeature) {
+  const FeatureSchema schema = GraphSchema();
+  FeatureSimilarity sim(&schema, {0, 1});
+  FeatureVector a(3);
+  a.Set(0, FeatureValue::Categorical({1, 2}));
+  a.Set(1, FeatureValue::Numeric(0.5));
+  FeatureVector b(3);
+  b.Set(0, FeatureValue::Categorical({2, 3}));
+  b.Set(1, FeatureValue::Categorical({3}));  // not the schema's type
+  // Jaccard({1,2}, {2,3}) = 1/3; the mismatched slot does not count.
+  EXPECT_EQ(sim.Weight(a, b), 1.0 / 3.0);
+}
+
+TEST(PackedKernelTest, EmptyCategorySets) {
+  const FeatureSchema schema = GraphSchema();
+  FeatureSimilarity sim(&schema, {0, 1});
+  const FeatureVector empty = GraphRow({}, 0.0, {1, 0, 0});
+  const FeatureVector also_empty = GraphRow({}, 2.0, {1, 0, 0});
+  const FeatureVector one = GraphRow({4}, 2.0, {1, 0, 0});
+  // Two empty sets are identical (1.0); mean with exp(-2).
+  EXPECT_DOUBLE_EQ(sim.Weight(empty, also_empty),
+                   (1.0 + std::exp(-2.0)) / 2);
+  // One empty set shares nothing (0.0).
+  EXPECT_DOUBLE_EQ(sim.Weight(empty, one), std::exp(-2.0) / 2);
+}
+
+TEST(PackedKernelTest, ZeroNormEmbeddingHasCosineZero) {
+  const FeatureSchema schema = GraphSchema();
+  FeatureSimilarity sim(&schema, {2});
+  const FeatureVector zero = GraphRow({}, 0.0, {0, 0, 0});
+  const FeatureVector unit = GraphRow({}, 0.0, {1, 0, 0});
+  // cos = 0 -> rescaled similarity 0.5, on either side and for two zeros.
+  EXPECT_EQ(sim.Weight(zero, unit), 0.5);
+  EXPECT_EQ(sim.Weight(unit, zero), 0.5);
+  EXPECT_EQ(sim.Weight(zero, zero), 0.5);
+  // A non-degenerate pair: cos = 1/sqrt(2).
+  const FeatureVector diag = GraphRow({}, 0.0, {1, 1, 0});
+  EXPECT_DOUBLE_EQ(sim.Weight(unit, diag),
+                   0.5 * (1.0 + 1.0 / std::sqrt(2.0)));
+}
+
+TEST(PackedKernelTest, EmbeddingLengthMismatchSkipsTheFeature) {
+  const FeatureSchema schema = GraphSchema();
+  FeatureSimilarity sim(&schema, {0, 2});
+  const FeatureVector a = GraphRow({1, 2}, 0.0, {1, 0, 0});
+  const FeatureVector b = GraphRow({1}, 0.0, {1, 0});
+  // Only tags count: Jaccard({1,2}, {1}) = 1/2.
+  EXPECT_EQ(sim.Weight(a, b), 0.5);
+  FeatureSimilarity emb_only(&schema, {2});
+  EXPECT_EQ(emb_only.Weight(a, b), 0.0);  // no feature present in both
+}
+
+TEST(PackedKernelTest, NegativeAndOutOfRangeCategoryIds) {
+  // Cardinality 16 is declared, not enforced: any int32 id is a category.
+  const FeatureSchema schema = GraphSchema();
+  FeatureSimilarity sim(&schema, {0});
+  const FeatureVector a = GraphRow({-5, 3, 100000}, 0.0, {1, 0, 0});
+  const FeatureVector b = GraphRow({-5, 100000, 7}, 0.0, {1, 0, 0});
+  EXPECT_EQ(sim.Weight(a, b), 2.0 / 4.0);  // {-5, 100000} of 4 ids
+  const int32_t lo = std::numeric_limits<int32_t>::min();
+  const int32_t hi = std::numeric_limits<int32_t>::max();
+  const FeatureVector c = GraphRow({lo, 0, hi}, 0.0, {1, 0, 0});
+  const FeatureVector d = GraphRow({lo, hi}, 0.0, {1, 0, 0});
+  EXPECT_EQ(sim.Weight(c, d), 2.0 / 3.0);
+}
+
+TEST(PackedKernelTest, SymmetricBitForBitAcrossTables) {
+  const FeatureSchema schema = GraphSchema();
+  FeatureSimilarity sim(&schema, {0, 1, 2});
+  Rng rng(11);
+  // Random rows with missing slots, odd types and odd embedding lengths.
+  std::vector<FeatureVector> rows;
+  for (int i = 0; i < 24; ++i) {
+    FeatureVector row(3);
+    if (rng.Bernoulli(0.8)) {
+      std::vector<int32_t> tags(rng.UniformInt(uint64_t{4}));
+      for (int32_t& tag : tags) {
+        tag = static_cast<int32_t>(rng.UniformInt(uint64_t{40})) - 20;
+      }
+      row.Set(0, FeatureValue::Categorical(std::move(tags)));
+    }
+    if (rng.Bernoulli(0.8)) {
+      row.Set(1, rng.Bernoulli(0.1) ? FeatureValue::Categorical({1})
+                                    : FeatureValue::Numeric(rng.Normal()));
+    }
+    if (rng.Bernoulli(0.8)) {
+      std::vector<float> emb(rng.Bernoulli(0.1) ? 2 : 3);
+      for (float& x : emb) x = static_cast<float>(rng.Normal());
+      row.Set(2, FeatureValue::Embedding(std::move(emb)));
+    }
+    rows.push_back(std::move(row));
+  }
+  std::vector<const FeatureVector*> ptrs;
+  for (const auto& r : rows) ptrs.push_back(&r);
+  sim.FitNormalization(ptrs);
+  // The index packs the first half, the queries the second half.
+  const std::vector<const FeatureVector*> left(ptrs.begin(),
+                                               ptrs.begin() + 12);
+  const std::vector<const FeatureVector*> right(ptrs.begin() + 12,
+                                                ptrs.end());
+  const PackedFeatureRows all(ptrs, sim.features());
+  const PackedFeatureRows left_table(left, sim.features());
+  const PackedFeatureRows right_table(right, sim.features());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t j = 0; j < rows.size(); ++j) {
+      const double w = sim.Weight(all, i, all, j);
+      EXPECT_EQ(w, sim.Weight(all, j, all, i));
+      EXPECT_EQ(w, sim.Weight(rows[i], rows[j]));
+      EXPECT_EQ(w, sim.Weight(rows[j], rows[i]));
+      if (i < 12 && j >= 12) {
+        EXPECT_EQ(w, sim.Weight(left_table, i, right_table, j - 12));
+        EXPECT_EQ(w, sim.Weight(right_table, j - 12, left_table, i));
+      }
+    }
+  }
+}
+
 TEST(SimilarityTest, CosineSimilarityBasics) {
   EXPECT_NEAR(CosineSimilarity({1, 0}, {1, 0}), 1.0, 1e-9);
   EXPECT_NEAR(CosineSimilarity({1, 0}, {0, 1}), 0.0, 1e-9);
@@ -182,6 +319,33 @@ TEST_F(KnnGraphTest, NeighborsPreferSameCluster) {
     }
   }
   EXPECT_GT(same, cross * 5);
+}
+
+TEST(KnnBlockingTest, NegativeAndOutOfRangeIdsBlockTogether) {
+  // Postings key on the raw int32 id, so ids outside the declared
+  // cardinality (16) still make nodes candidates of each other.
+  const FeatureSchema schema = GraphSchema();
+  FeatureStore store(&schema);
+  std::vector<EntityId> nodes;
+  for (EntityId id = 1; id <= 12; ++id) {
+    const int32_t tag = id <= 6 ? -7 : 1 << 30;
+    store.Put(id, GraphRow({tag}, 0.5, {1, 0, 0}));
+    nodes.push_back(id);
+  }
+  FeatureSimilarity sim(&schema, {0});
+  KnnGraphOptions options;
+  options.k = 3;
+  options.random_candidates = 0;  // neighbors come from blocking alone
+  options.stop_item_fraction = 1.0;
+  auto graph = BuildKnnGraph(nodes, store, sim, options);
+  ASSERT_TRUE(graph.ok());
+  for (size_t i = 0; i < graph->num_nodes(); ++i) {
+    ASSERT_FALSE(graph->adjacency[i].empty());
+    for (const auto& [j, w] : graph->adjacency[i]) {
+      EXPECT_EQ(graph->nodes[i] <= 6, graph->nodes[j] <= 6);
+      EXPECT_EQ(w, 1.0f);
+    }
+  }
 }
 
 TEST_F(KnnGraphTest, MissingEntityFails) {

@@ -12,6 +12,14 @@
 //       slower); stages present on only one side are reported but do not
 //       fail the run (benchmarks come and go across commits).
 //
+//   bench_compare --min-speedup STAGE=FLOOR [--min-speedup ...]
+//                 [--threads N] FILE
+//       Gates a host-independent quantity of one file: for each named
+//       STAGE, the speedup wall_ms(1 thread) / wall_ms(N threads) (N
+//       defaults to 4) of every entity count that has both rows must be at
+//       least FLOOR. Exit 1 if any speedup is below its floor or a gated
+//       stage lacks the 1-thread or N-thread row.
+//
 // The parser is a deliberately small recursive-descent JSON reader — enough
 // for the subset BenchReporter emits plus ordinary whitespace — so the tool
 // needs no third-party dependency.
@@ -408,10 +416,67 @@ int Compare(const std::string& base_path, const std::string& new_path,
   return 0;
 }
 
+struct SpeedupFloor {
+  std::string stage;
+  double floor = 0.0;
+};
+
+int CheckSpeedups(const std::string& path,
+                  const std::vector<SpeedupFloor>& floors, long threads) {
+  BenchFile file;
+  std::string error;
+  if (!LoadBenchFile(path, &file, &error)) {
+    std::fprintf(stderr, "bench_compare: %s\n", error.c_str());
+    return 2;
+  }
+  std::printf("bench_compare: %s (%s), speedup 1t/%ldt\n", path.c_str(),
+              file.git_sha.c_str(), threads);
+  const std::string many_ms = std::to_string(threads) + "t ms";
+  std::printf("%-36s %12s %12s %8s %8s\n", "stage|entities", "1t ms",
+              many_ms.c_str(), "speedup", "floor");
+  int failures = 0;
+  for (const SpeedupFloor& gate : floors) {
+    // entities -> (1-thread ms, N-thread ms); 0 marks a missing row.
+    std::map<long, std::pair<double, double>> by_entities;
+    for (const BenchStage& s : file.stages) {
+      if (s.stage != gate.stage) continue;
+      if (s.threads == 1) by_entities[s.entities].first = s.wall_ms;
+      if (s.threads == threads) by_entities[s.entities].second = s.wall_ms;
+    }
+    size_t checked = 0;
+    for (const auto& [entities, ms] : by_entities) {
+      if (ms.first <= 0.0 || ms.second <= 0.0) continue;
+      ++checked;
+      const double speedup = ms.first / ms.second;
+      const bool below = speedup < gate.floor;
+      std::printf("%-36s %12.3f %12.3f %7.2fx %7.2fx%s\n",
+                  (gate.stage + "|n" + std::to_string(entities)).c_str(),
+                  ms.first, ms.second, speedup, gate.floor,
+                  below ? "  BELOW FLOOR" : "");
+      if (below) ++failures;
+    }
+    if (checked == 0) {
+      std::printf("%-36s %12s %12s %8s %7.2fx  MISSING (needs 1t and %ldt "
+                  "rows)\n", gate.stage.c_str(), "-", "-", "-", gate.floor,
+                  threads);
+      ++failures;
+    }
+  }
+  if (failures > 0) {
+    std::fprintf(stderr, "bench_compare: FAIL — %d speedup gate(s) not met\n",
+                 failures);
+    return 1;
+  }
+  std::printf("bench_compare: OK — every gated speedup meets its floor\n");
+  return 0;
+}
+
 void PrintUsage() {
   std::fprintf(stderr,
                "usage: bench_compare --validate FILE\n"
-               "       bench_compare [--threshold F] BASE NEW\n");
+               "       bench_compare [--threshold F] BASE NEW\n"
+               "       bench_compare --min-speedup STAGE=FLOOR "
+               "[--min-speedup ...] [--threads N] FILE\n");
 }
 
 }  // namespace
@@ -420,10 +485,29 @@ int main(int argc, char** argv) {
   std::vector<std::string> positional;
   bool validate = false;
   double threshold = 1.25;
+  std::vector<SpeedupFloor> floors;
+  long threads = 4;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--validate") {
       validate = true;
+    } else if (arg == "--min-speedup") {
+      const std::string spec = i + 1 < argc ? argv[++i] : "";
+      const size_t eq = spec.find('=');
+      const double floor =
+          eq == std::string::npos ? 0.0 : std::atof(spec.c_str() + eq + 1);
+      if (eq == 0 || floor <= 0.0) {
+        std::fprintf(stderr, "bench_compare: bad --min-speedup \"%s\" "
+                     "(want STAGE=FLOOR)\n", spec.c_str());
+        return 2;
+      }
+      floors.push_back(SpeedupFloor{spec.substr(0, eq), floor});
+    } else if (arg == "--threads") {
+      threads = i + 1 < argc ? std::atol(argv[++i]) : 0;
+      if (threads <= 1) {
+        std::fprintf(stderr, "bench_compare: --threads must be > 1\n");
+        return 2;
+      }
     } else if (arg == "--threshold") {
       if (i + 1 >= argc) {
         PrintUsage();
@@ -437,6 +521,13 @@ int main(int argc, char** argv) {
     } else {
       positional.push_back(arg);
     }
+  }
+  if (!floors.empty()) {
+    if (validate || positional.size() != 1) {
+      PrintUsage();
+      return 2;
+    }
+    return CheckSpeedups(positional[0], floors, threads);
   }
   if (validate && positional.size() == 1) return Validate(positional[0]);
   if (!validate && positional.size() == 2) {
