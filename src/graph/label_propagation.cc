@@ -31,27 +31,10 @@ Result<PropagationResult> PropagateLabels(
     return Status::FailedPrecondition("no seed label matches a graph node");
   }
 
-  // The adjacency flattened once (CSR), with each node's weight total: the
-  // totals do not change across iterations, and every sweep then streams
-  // two flat arrays instead of one heap vector per node.
-  std::vector<uint32_t> edge_begin(n + 1, 0);
-  size_t num_entries = 0;
-  for (size_t i = 0; i < n; ++i) {
-    num_entries += graph.adjacency[i].size();
-    CM_CHECK(num_entries <= UINT32_MAX) << "graph too large for CSR offsets";
-    edge_begin[i + 1] = static_cast<uint32_t>(num_entries);
-  }
-  std::vector<uint32_t> neighbor(num_entries);
-  std::vector<float> weight(num_entries);
+  // Each node's weight total does not change across iterations.
   std::vector<double> weight_total(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t e = edge_begin[i];
-    for (const auto& [j, w] : graph.adjacency[i]) {
-      neighbor[e] = j;
-      weight[e] = w;
-      weight_total[i] += w;
-      ++e;
-    }
+  for (uint32_t i : free_nodes) {
+    for (const auto& [j, w] : graph.adjacency[i]) weight_total[i] += w;
   }
 
   PropagationResult result;
@@ -64,8 +47,8 @@ Result<PropagationResult> PropagateLabels(
     double max_delta = 0.0;
     for (uint32_t i : free_nodes) {
       double weighted = 0.0;
-      for (uint32_t e = edge_begin[i]; e < edge_begin[i + 1]; ++e) {
-        weighted += static_cast<double>(weight[e]) * score[neighbor[e]];
+      for (const auto& [j, w] : graph.adjacency[i]) {
+        weighted += static_cast<double>(w) * score[j];
       }
       const double total = weight_total[i];
       const double neighborhood =

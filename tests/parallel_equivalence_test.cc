@@ -103,7 +103,7 @@ uint64_t HashPredictions(const Model& model, const Dataset& data) {
 /// Label propagation exactly as the library ran it while its sweep was
 /// sliced across workers (one thread shown): every node walks its own
 /// adjacency vector, seeds are copied through, deltas reduce by max. The
-/// serial CSR loop in PropagateLabels must reproduce it bit for bit.
+/// serial loop in PropagateLabels must reproduce it bit for bit.
 PropagationResult ReferencePropagation(
     const SimilarityGraph& graph,
     const std::unordered_map<EntityId, double>& seeds,

@@ -12,13 +12,14 @@
 //       slower); stages present on only one side are reported but do not
 //       fail the run (benchmarks come and go across commits).
 //
-//   bench_compare --min-speedup STAGE=FLOOR [--min-speedup ...]
-//                 [--threads N] FILE
+//   bench_compare --min-speedup STAGE=FLOOR [--min-speedup ...] FILE
 //       Gates a host-independent quantity of one file: for each named
-//       STAGE, the speedup wall_ms(1 thread) / wall_ms(N threads) (N
-//       defaults to 4) of every entity count that has both rows must be at
-//       least FLOOR. Exit 1 if any speedup is below its floor or a gated
-//       stage lacks the 1-thread or N-thread row.
+//       STAGE and each of its entity counts, the speedup wall_ms(1 thread)
+//       / wall_ms(N threads) must be at least FLOOR, where N is the one
+//       thread count above 1 in that stage's rows (the run's
+//       CM_BENCH_THREADS). Exit 1 if any speedup is below its floor, or if
+//       a gated stage has no rows, or an entity count lacks its 1-thread
+//       row or has no or more than one row with threads > 1.
 //
 // The parser is a deliberately small recursive-descent JSON reader — enough
 // for the subset BenchReporter emits plus ordinary whitespace — so the tool
@@ -422,44 +423,54 @@ struct SpeedupFloor {
 };
 
 int CheckSpeedups(const std::string& path,
-                  const std::vector<SpeedupFloor>& floors, long threads) {
+                  const std::vector<SpeedupFloor>& floors) {
   BenchFile file;
   std::string error;
   if (!LoadBenchFile(path, &file, &error)) {
     std::fprintf(stderr, "bench_compare: %s\n", error.c_str());
     return 2;
   }
-  std::printf("bench_compare: %s (%s), speedup 1t/%ldt\n", path.c_str(),
-              file.git_sha.c_str(), threads);
-  const std::string many_ms = std::to_string(threads) + "t ms";
-  std::printf("%-36s %12s %12s %8s %8s\n", "stage|entities", "1t ms",
-              many_ms.c_str(), "speedup", "floor");
+  std::printf("bench_compare: %s (%s), speedup 1t/Nt\n", path.c_str(),
+              file.git_sha.c_str());
+  std::printf("%-36s %7s %12s %12s %8s %8s\n", "stage|entities", "N",
+              "1t ms", "Nt ms", "speedup", "floor");
   int failures = 0;
   for (const SpeedupFloor& gate : floors) {
-    // entities -> (1-thread ms, N-thread ms); 0 marks a missing row.
-    std::map<long, std::pair<double, double>> by_entities;
+    // entities -> the stage's 1-thread rows and its rows with threads > 1;
+    // a gated entity count needs exactly one of each.
+    std::map<long, std::pair<std::vector<const BenchStage*>,
+                             std::vector<const BenchStage*>>> by_entities;
     for (const BenchStage& s : file.stages) {
       if (s.stage != gate.stage) continue;
-      if (s.threads == 1) by_entities[s.entities].first = s.wall_ms;
-      if (s.threads == threads) by_entities[s.entities].second = s.wall_ms;
+      auto& rows = by_entities[s.entities];
+      (s.threads == 1 ? rows.first : rows.second).push_back(&s);
     }
-    size_t checked = 0;
-    for (const auto& [entities, ms] : by_entities) {
-      if (ms.first <= 0.0 || ms.second <= 0.0) continue;
-      ++checked;
-      const double speedup = ms.first / ms.second;
-      const bool below = speedup < gate.floor;
-      std::printf("%-36s %12.3f %12.3f %7.2fx %7.2fx%s\n",
-                  (gate.stage + "|n" + std::to_string(entities)).c_str(),
-                  ms.first, ms.second, speedup, gate.floor,
-                  below ? "  BELOW FLOOR" : "");
-      if (below) ++failures;
-    }
-    if (checked == 0) {
-      std::printf("%-36s %12s %12s %8s %7.2fx  MISSING (needs 1t and %ldt "
-                  "rows)\n", gate.stage.c_str(), "-", "-", "-", gate.floor,
-                  threads);
+    if (by_entities.empty()) {
+      std::printf("%-36s %7s %12s %12s %8s %7.2fx  MISSING (no rows)\n",
+                  gate.stage.c_str(), "-", "-", "-", "-", gate.floor);
       ++failures;
+    }
+    for (const auto& [entities, rows] : by_entities) {
+      const std::string label = gate.stage + "|n" + std::to_string(entities);
+      if (rows.first.size() != 1 || rows.second.size() != 1) {
+        std::printf("%-36s %7s %12s %12s %8s %7.2fx  %s (%zu 1t row(s), "
+                    "%zu row(s) with threads > 1; want one each)\n",
+                    label.c_str(), "-", "-", "-", "-", gate.floor,
+                    rows.first.size() > 1 || rows.second.size() > 1
+                        ? "AMBIGUOUS"
+                        : "MISSING",
+                    rows.first.size(), rows.second.size());
+        ++failures;
+        continue;
+      }
+      const BenchStage& one = *rows.first[0];
+      const BenchStage& many = *rows.second[0];
+      const double speedup = one.wall_ms / many.wall_ms;
+      const bool below = !(speedup >= gate.floor);
+      std::printf("%-36s %7ld %12.3f %12.3f %7.2fx %7.2fx%s\n",
+                  label.c_str(), many.threads, one.wall_ms, many.wall_ms,
+                  speedup, gate.floor, below ? "  BELOW FLOOR" : "");
+      if (below) ++failures;
     }
   }
   if (failures > 0) {
@@ -476,7 +487,7 @@ void PrintUsage() {
                "usage: bench_compare --validate FILE\n"
                "       bench_compare [--threshold F] BASE NEW\n"
                "       bench_compare --min-speedup STAGE=FLOOR "
-               "[--min-speedup ...] [--threads N] FILE\n");
+               "[--min-speedup ...] FILE\n");
 }
 
 }  // namespace
@@ -486,7 +497,6 @@ int main(int argc, char** argv) {
   bool validate = false;
   double threshold = 1.25;
   std::vector<SpeedupFloor> floors;
-  long threads = 4;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--validate") {
@@ -502,12 +512,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       floors.push_back(SpeedupFloor{spec.substr(0, eq), floor});
-    } else if (arg == "--threads") {
-      threads = i + 1 < argc ? std::atol(argv[++i]) : 0;
-      if (threads <= 1) {
-        std::fprintf(stderr, "bench_compare: --threads must be > 1\n");
-        return 2;
-      }
     } else if (arg == "--threshold") {
       if (i + 1 >= argc) {
         PrintUsage();
@@ -527,7 +531,7 @@ int main(int argc, char** argv) {
       PrintUsage();
       return 2;
     }
-    return CheckSpeedups(positional[0], floors, threads);
+    return CheckSpeedups(positional[0], floors);
   }
   if (validate && positional.size() == 1) return Validate(positional[0]);
   if (!validate && positional.size() == 2) {

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Checks bench_compare's speedup gate on fixture JSON files: the passing
-# fixture (kNN 3.33x at 4 threads) must exit 0, the failing one (1.60x)
-# must exit 1 and name the stage below its floor, and a gated stage with
-# no 4-thread row (label_propagation) must exit 1 as missing. Registered as
-# the `bench_compare_speedup_gate` ctest test:
+# fixture (kNN 3.33x at 4 threads) must exit 0 and report the thread count
+# it read, the failing one (1.60x) must exit 1 and name the stage below its
+# floor, a gated stage with no multi-thread row (label_propagation) must
+# exit 1 as missing, and one with two multi-thread rows (2 and 4 threads)
+# must exit 1 as ambiguous. Registered as the `bench_compare_speedup_gate`
+# ctest test:
 #
 #   tools/bench_gate_test.sh <bench_compare-binary> <fixture-dir>
 set -uo pipefail
@@ -29,12 +31,14 @@ expect() {
   fi
 }
 
-expect 0 "OK" --min-speedup knn_graph_build=2 \
+expect 0 "knn_graph_build|n3600 *4 .* 3.33x" --min-speedup knn_graph_build=2 \
   "${FIXTURES}/speedup_pass.json"
 expect 1 "knn_graph_build|n3600 .* BELOW FLOOR" \
   --min-speedup knn_graph_build=2 "${FIXTURES}/speedup_fail.json"
-expect 1 "label_propagation .* MISSING" --min-speedup knn_graph_build=2 \
+expect 1 "label_propagation|n4600 .* MISSING" --min-speedup knn_graph_build=2 \
   --min-speedup label_propagation=1 "${FIXTURES}/speedup_pass.json"
+expect 1 "knn_graph_build|n3600 .* AMBIGUOUS" \
+  --min-speedup knn_graph_build=2 "${FIXTURES}/speedup_ambiguous.json"
 expect 2 "want STAGE=FLOOR" --min-speedup knn_graph_build \
   "${FIXTURES}/speedup_pass.json"
 
