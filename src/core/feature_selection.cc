@@ -38,11 +38,9 @@ Result<FeatureSelection> SelectFeatures(
   };
 
   sel.text_model_features =
-      schema.Select(options.text_sets, options.servable_model_features,
-                    kTextMask);
+      schema.Select(options.text_sets, /*servable_only=*/true, kTextMask);
   sel.image_model_features =
-      schema.Select(options.image_sets, options.servable_model_features,
-                    kImageMask);
+      schema.Select(options.image_sets, /*servable_only=*/true, kImageMask);
   std::erase_if(sel.text_model_features, excluded);
   std::erase_if(sel.image_model_features, excluded);
 
@@ -72,7 +70,6 @@ Result<FeatureSelection> SelectFeatures(
     const bool common = MaskContains(def.modalities, Modality::kText) &&
                         MaskContains(def.modalities, Modality::kImage);
     if (!common) continue;
-    if (!def.servable && !options.lfs_may_use_nonservable) continue;
     if (excluded(f)) continue;
     sel.lf_features.push_back(f);
   }

@@ -23,13 +23,10 @@ struct FeatureSelectionOptions {
                                        ServiceSet::kC, ServiceSet::kD};
   std::vector<ServiceSet> image_sets = {ServiceSet::kA, ServiceSet::kB,
                                         ServiceSet::kC, ServiceSet::kD};
-  /// Restrict the end model to servable features (nonservable ones still
-  /// feed LFs/propagation when the flags below allow).
-  bool servable_model_features = true;
   /// Service sets visible to LF mining (defaults to the union of the
-  /// channel sets when empty); may include nonservable features.
+  /// channel sets when empty). The end-model channels always get servable
+  /// features only; LF mining and the graph may also use nonservable ones.
   std::vector<ServiceSet> lf_sets;
-  bool lfs_may_use_nonservable = true;
   /// Embedding features appended to the image channel and to the
   /// label-propagation graph ("proprietary_embedding" by default; benches
   /// swap in "generic_embedding" for the §6.6 comparison). Empty = none.

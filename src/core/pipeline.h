@@ -20,7 +20,6 @@
 #include "fusion/fusion.h"
 #include "graph/knn_graph.h"
 #include "graph/label_propagation.h"
-#include "io/store_format.h"
 #include "labeling/label_model.h"
 #include "labeling/labeling_function.h"
 #include "mining/itemset_miner.h"
@@ -67,10 +66,6 @@ struct PipelineConfig {
   /// motivation; weighting solves it without a second training pass).
   bool balance_modalities = true;
   uint64_t seed = 0x5EED;
-  /// On-disk representation for persisted feature-store artifacts (cmctl
-  /// generate/curate/convert consult this; the in-memory pipeline does not
-  /// write files itself).
-  StoreFormat store_format = StoreFormat::kTsv;
   /// Worker budget for the measured hot paths (feature generation, kNN
   /// graph, model training). Overrides the per-stage ParallelConfig in
   /// curation.graph / model.train; every value produces bit-identical

@@ -118,7 +118,7 @@ std::vector<std::vector<std::pair<float, uint32_t>>> SelectNeighbors(
       // once, at its final (pruned) size.
       scored.clear();
       for (uint32_t j : candidates) {
-        const double w = similarity.Weight(table, i, table, j);
+        const double w = similarity.Weight(table, i, j);
         if (w < options.min_weight) continue;
         scored.emplace_back(static_cast<float>(w), j);
       }

@@ -72,18 +72,6 @@ Result<PropagationResult> PropagateLabels(
   return result;
 }
 
-ScoreThresholds TuneScoreThresholds(
-    const std::vector<std::pair<double, int>>& holdout,
-    double target_precision_pos, double target_precision_neg) {
-  std::vector<WeightedScore> weighted;
-  weighted.reserve(holdout.size());
-  for (const auto& [score, label] : holdout) {
-    weighted.push_back(WeightedScore{score, label, 1.0});
-  }
-  return TuneScoreThresholds(weighted, target_precision_pos,
-                             target_precision_neg);
-}
-
 ScoreThresholds TuneScoreThresholds(const std::vector<WeightedScore>& holdout,
                                     double target_precision_pos,
                                     double target_precision_neg) {

@@ -56,14 +56,6 @@ struct ScoreThresholds {
   double negative = 0.0;  ///< Score at/below which the LF votes negative.
 };
 
-/// Picks the smallest positive threshold whose precision on the held-out
-/// (score, label) pairs reaches `target_precision_pos`, and symmetrically
-/// the largest negative threshold reaching `target_precision_neg`. Falls
-/// back to extreme thresholds (LF abstains) when no threshold qualifies.
-ScoreThresholds TuneScoreThresholds(
-    const std::vector<std::pair<double, int>>& holdout,
-    double target_precision_pos, double target_precision_neg);
-
 /// One weighted holdout point for threshold tuning.
 struct WeightedScore {
   double score = 0.0;
@@ -71,8 +63,12 @@ struct WeightedScore {
   double weight = 1.0;  ///< Inverse-sampling weight (stratified holdouts).
 };
 
-/// Weighted variant: precision is computed over point weights, so a
-/// class-stratified holdout can be corrected back to the natural class mix.
+/// Picks the smallest positive threshold whose weighted precision on the
+/// held-out points reaches `target_precision_pos`, and symmetrically the
+/// largest negative threshold reaching `target_precision_neg`. Precision is
+/// computed over point weights, so a class-stratified holdout can be
+/// corrected back to the natural class mix. Falls back to extreme
+/// thresholds (LF abstains) when no threshold qualifies.
 ScoreThresholds TuneScoreThresholds(const std::vector<WeightedScore>& holdout,
                                     double target_precision_pos,
                                     double target_precision_neg);

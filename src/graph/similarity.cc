@@ -32,12 +32,6 @@ double Cosine(std::span<const float> a, double norm_a,
 
 }  // namespace
 
-double CosineSimilarity(const std::vector<float>& a,
-                        const std::vector<float>& b) {
-  CM_CHECK(a.size() == b.size());
-  return Cosine(a, Norm(a), b, Norm(b));
-}
-
 PackedFeatureRows::PackedFeatureRows(
     const std::vector<const FeatureVector*>& rows,
     const std::vector<FeatureId>& features)
@@ -122,43 +116,43 @@ void FeatureSimilarity::FitNormalization(
 double FeatureSimilarity::Weight(const FeatureVector& a,
                                  const FeatureVector& b) const {
   const PackedFeatureRows packed({&a, &b}, features_);
-  return Weight(packed, 0, packed, 1);
+  return Weight(packed, 0, 1);
 }
 
-double FeatureSimilarity::Weight(const PackedFeatureRows& a, size_t i,
-                                 const PackedFeatureRows& b, size_t j) const {
-  CM_DCHECK_EQ(a.num_features_, features_.size());
-  CM_DCHECK_EQ(b.num_features_, features_.size());
-  CM_DCHECK_LT(i, a.num_rows_);
-  CM_DCHECK_LT(j, b.num_rows_);
-  const size_t ca = a.cell(i, 0);
-  const size_t cb = b.cell(j, 0);
+double FeatureSimilarity::Weight(const PackedFeatureRows& rows, size_t i,
+                                 size_t j) const {
+  CM_DCHECK_EQ(rows.num_features_, features_.size());
+  CM_DCHECK_LT(i, rows.num_rows_);
+  CM_DCHECK_LT(j, rows.num_rows_);
+  const size_t ca = rows.cell(i, 0);
+  const size_t cb = rows.cell(j, 0);
   double total = 0.0;
   size_t present = 0;
   for (size_t idx = 0; idx < features_.size(); ++idx) {
-    const uint8_t kind = a.kind_[ca + idx];
+    const uint8_t kind = rows.kind_[ca + idx];
     // Skip a value missing on either side, or of differing types.
-    if (kind == PackedFeatureRows::kMissing || kind != b.kind_[cb + idx]) {
+    if (kind == PackedFeatureRows::kMissing || kind != rows.kind_[cb + idx]) {
       continue;
     }
-    const uint32_t sa = a.slot_[ca + idx];
-    const uint32_t sb = b.slot_[cb + idx];
+    const uint32_t sa = rows.slot_[ca + idx];
+    const uint32_t sb = rows.slot_[cb + idx];
     double sim = 0.0;
     switch (static_cast<FeatureType>(kind - 1)) {
       case FeatureType::kCategorical:
-        sim = JaccardIndex(a.category_set(sa), b.category_set(sb));
+        sim = JaccardIndex(rows.category_set(sa), rows.category_set(sb));
         break;
       case FeatureType::kNumeric: {
-        const double d =
-            std::abs(a.numeric_[sa] - b.numeric_[sb]) / numeric_scale_[idx];
+        const double d = std::abs(rows.numeric_[sa] - rows.numeric_[sb]) /
+                         numeric_scale_[idx];
         sim = std::exp(-d);
         break;
       }
       case FeatureType::kEmbedding: {
-        const std::span<const float> ea = a.embedding(sa);
-        const std::span<const float> eb = b.embedding(sb);
+        const std::span<const float> ea = rows.embedding(sa);
+        const std::span<const float> eb = rows.embedding(sb);
         if (ea.size() != eb.size()) continue;
-        sim = 0.5 * (1.0 + Cosine(ea, a.emb_norm_[sa], eb, b.emb_norm_[sb]));
+        sim = 0.5 * (1.0 + Cosine(ea, rows.emb_norm_[sa], eb,
+                                  rows.emb_norm_[sb]));
         break;
       }
     }

@@ -89,10 +89,9 @@ class FeatureSimilarity {
   /// Packs the two rows and scores them with the table overload.
   double Weight(const FeatureVector& a, const FeatureVector& b) const;
 
-  /// Edge weight between row `i` of `a` and row `j` of `b`; both tables
-  /// must be packed over features().
-  double Weight(const PackedFeatureRows& a, size_t i,
-                const PackedFeatureRows& b, size_t j) const;
+  /// Edge weight between rows `i` and `j` of `rows`, which must be packed
+  /// over features().
+  double Weight(const PackedFeatureRows& rows, size_t i, size_t j) const;
 
   const std::vector<FeatureId>& features() const { return features_; }
 
@@ -101,10 +100,6 @@ class FeatureSimilarity {
   std::vector<FeatureId> features_;
   std::vector<double> numeric_scale_;  // parallel to features_; 1.0 default
 };
-
-/// Cosine similarity of two equal-length float vectors, in [-1, 1].
-double CosineSimilarity(const std::vector<float>& a,
-                        const std::vector<float>& b);
 
 }  // namespace crossmodal
 

@@ -104,6 +104,11 @@ Result<FeatureValue> DecodeFeatureValue(const std::string& text) {
       categories.reserve(parts.size());
       for (const auto& p : parts) {
         CM_ASSIGN_OR_RETURN(int64_t v, ParseInt64(p));
+        if (v < std::numeric_limits<int32_t>::min() ||
+            v > std::numeric_limits<int32_t>::max()) {
+          return Status::InvalidArgument("category id out of int32 range: " +
+                                         p);
+        }
         categories.push_back(static_cast<int32_t>(v));
       }
       return FeatureValue::Categorical(std::move(categories));

@@ -61,9 +61,7 @@ Result<FeatureEncoder> FeatureEncoder::Fit(
         break;
     }
     offset += slot.width;
-    if (encoder.options_.add_missing_indicators) {
-      slot.missing_slot = offset++;
-    }
+    slot.missing_slot = offset++;
     encoder.slots_.push_back(slot);
   }
   encoder.dim_ = offset;
@@ -76,16 +74,15 @@ SparseRow FeatureEncoder::Encode(const FeatureVector& row) const {
     const FeatureValue& v = row.Get(slot.feature);
     const bool usable = !v.is_missing() && v.type() == slot.type;
     if (!usable) {
-      if (options_.add_missing_indicators) out.Add(slot.missing_slot, 1.0f);
+      out.Add(slot.missing_slot, 1.0f);
       continue;
     }
     switch (slot.type) {
       case FeatureType::kCategorical: {
         const auto& cats = v.categories();
         const float value =
-            options_.normalize_multihot && cats.size() > 1
-                ? 1.0f / std::sqrt(static_cast<float>(cats.size()))
-                : 1.0f;
+            cats.size() > 1 ? 1.0f / std::sqrt(static_cast<float>(cats.size()))
+                            : 1.0f;
         for (int32_t c : cats) {
           if (c < 0 || static_cast<uint32_t>(c) >= slot.width) continue;
           out.Add(slot.offset + static_cast<uint32_t>(c), value);

@@ -1,11 +1,12 @@
 // FeatureEncoder: common-feature-space rows -> sparse model inputs.
 //
 // Categorical features become multi-hot blocks sized by their declared
-// vocabulary; numeric features are standardized (mean/std fit on training
-// rows); embeddings pass through; every feature gets a missing-indicator
-// slot so models can distinguish absent from zero (modality-specific
-// features are systematically missing for the other modality in early
-// fusion, §5).
+// vocabulary, with values scaled by 1/sqrt(set size) so rows with many
+// categories do not dominate the linear layer; numeric features are
+// standardized (mean/std fit on training rows); embeddings pass through;
+// every feature gets a missing-indicator slot so models can distinguish
+// absent from zero (modality-specific features are systematically missing
+// for the other modality in early fusion, §5).
 
 #ifndef CROSSMODAL_ML_ENCODER_H_
 #define CROSSMODAL_ML_ENCODER_H_
@@ -23,10 +24,6 @@ namespace crossmodal {
 struct EncoderOptions {
   /// Features to encode, in order. Must be non-empty.
   std::vector<FeatureId> features;
-  bool add_missing_indicators = true;
-  /// Multi-hot values are scaled by 1/sqrt(set size) when true, keeping
-  /// rows with many categories from dominating the linear layer.
-  bool normalize_multihot = true;
 };
 
 /// Fitted encoder (immutable after Fit).

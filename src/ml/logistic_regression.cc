@@ -74,10 +74,8 @@ Result<LogisticRegression> LogisticRegression::Train(
         for (size_t k = s_begin; k < s_end; ++k) {
           const Example& ex = data.examples[perm[start + k]];
           const double p = Sigmoid(ex.x.Dot(model.weights_) + model.bias_);
-          double w = ex.weight;
-          if (ex.target > 0.5) w *= options.positive_weight;
           // Noise-aware CE gradient: (p - soft_target).
-          const double g = w * (p - ex.target);
+          const double g = ex.weight * (p - ex.target);
           for (const auto& [idx, val] : ex.x.entries) {
             if (sg[idx] == 0.0) st.push_back(idx);
             sg[idx] += g * val;

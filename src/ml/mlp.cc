@@ -170,9 +170,7 @@ Result<Mlp> Mlp::Train(const Dataset& data, const MlpOptions& options) {
             logit += model.out_weights_[j] * last[j];
           }
           const double p = Sigmoid(logit);
-          double w = ex.weight;
-          if (ex.target > 0.5) w *= t.positive_weight;
-          const double g_out = w * (p - ex.target);  // dL/dlogit
+          const double g_out = ex.weight * (p - ex.target);  // dL/dlogit
 
           // Output layer gradients.
           for (size_t j = 0; j < h_last; ++j) s.grad_out[j] += g_out * last[j];

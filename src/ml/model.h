@@ -22,8 +22,6 @@ struct TrainOptions {
   double learning_rate = 0.05;
   double l2 = 1e-5;
   uint64_t seed = 0x7EA1;
-  /// Up-weights positive-leaning targets by this factor (class imbalance).
-  double positive_weight = 1.0;
   /// How many ensemble members train at once; read only by TrainModel and
   /// GridSearch through ModelSpec::train. A single model always trains
   /// serially, so trained weights are bit-identical for every

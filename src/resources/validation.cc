@@ -10,6 +10,21 @@ namespace crossmodal {
 
 namespace {
 
+/// Minimum coverage on either modality.
+constexpr double kMinCoverage = 0.5;
+/// Items below this lift over the positive rate mark the service as
+/// carrying no task signal (context-only; not flagged) — suspicion is
+/// raised only for coverage failures and adversarial channels (items whose
+/// precision falls *below* the class prior by this factor).
+constexpr double kAdversarialLift = 0.5;
+/// Categorical features whose old-vs-new marginal L1 distance exceeds this
+/// are suspect. Legit services shift substantially already (channel noise +
+/// background rotation put them near 1.0 here), so only gross
+/// inconsistencies are flagged automatically; subtler text-only label leaks
+/// require the §7.2 human review of mined LFs (see the resource-quality
+/// ablation bench).
+constexpr double kMaxMarginalShift = 1.35;
+
 double SafeDiv(double a, double b) { return b > 0.0 ? a / b : 0.0; }
 
 /// Best order-1 item quality for one feature over labeled rows
@@ -126,8 +141,7 @@ Result<std::vector<ResourceQualityReport>> ValidateResources(
     const ResourceRegistry& registry, const FeatureStore& store,
     const std::vector<EntityId>& old_entities,
     const std::vector<int>& old_labels,
-    const std::vector<EntityId>& new_entities,
-    const ValidationOptions& options) {
+    const std::vector<EntityId>& new_entities) {
   if (old_entities.size() != old_labels.size()) {
     return Status::InvalidArgument("old entities and labels must align");
   }
@@ -162,18 +176,16 @@ Result<std::vector<ResourceQualityReport>> ValidateResources(
           MarginalShift(store, id, old_entities, new_entities);
     }
     const bool low_coverage =
-        (applies_old && report.coverage_old < options.min_coverage) ||
-        (applies_new && report.coverage_new < options.min_coverage);
+        (applies_old && report.coverage_old < kMinCoverage) ||
+        (applies_new && report.coverage_new < kMinCoverage);
     // Adversarial channel: some item is *anti-correlated* far below prior.
     const bool adversarial =
         def.type != FeatureType::kEmbedding && report.best_item_f1 > 0.0 &&
-        report.best_item_precision <
-            pos_rate * (1.0 + options.adversarial_lift) &&
-        report.coverage_old > options.min_coverage;
+        report.best_item_precision < pos_rate * (1.0 + kAdversarialLift) &&
+        report.coverage_old > kMinCoverage;
     // Modality-inconsistent: the channels share the vocabulary but not the
     // distribution — LFs mined over it will not transfer.
-    const bool inconsistent =
-        report.marginal_shift > options.max_marginal_shift;
+    const bool inconsistent = report.marginal_shift > kMaxMarginalShift;
     report.suspect = low_coverage || adversarial || inconsistent;
     reports.push_back(std::move(report));
   }

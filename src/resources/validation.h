@@ -41,32 +41,15 @@ struct ResourceQualityReport {
   bool suspect = false;  ///< Failed a threshold; exclude or review.
 };
 
-/// Validation thresholds.
-struct ValidationOptions {
-  double min_coverage = 0.5;  ///< On either modality.
-  /// Items below this lift over the positive rate mark the service as
-  /// carrying no task signal (context-only; not flagged) — suspicion is
-  /// raised only for coverage failures and adversarial channels (items
-  /// whose precision falls *below* the class prior by this factor).
-  double adversarial_lift = 0.5;
-  /// Categorical features whose old-vs-new marginal L1 distance exceeds
-  /// this are suspect. Legit services shift substantially already (channel
-  /// noise + background rotation put them near 1.0 here), so only gross
-  /// inconsistencies are flagged automatically; subtler text-only label
-  /// leaks require the §7.2 human review of mined LFs (see the
-  /// resource-quality ablation bench).
-  double max_marginal_shift = 1.35;
-};
-
 /// Audits every feature of `registry` against labeled old-modality rows
 /// (`dev_entities`/`dev_labels`) and unlabeled new-modality rows, all of
-/// which must be present in `store`.
+/// which must be present in `store`. The thresholds that mark a service
+/// suspect are fixed constants in validation.cc.
 [[nodiscard]] Result<std::vector<ResourceQualityReport>> ValidateResources(
     const ResourceRegistry& registry, const FeatureStore& store,
     const std::vector<EntityId>& old_entities,
     const std::vector<int>& old_labels,
-    const std::vector<EntityId>& new_entities,
-    const ValidationOptions& options = ValidationOptions());
+    const std::vector<EntityId>& new_entities);
 
 /// How a CorruptedService misbehaves.
 enum class CorruptionMode {

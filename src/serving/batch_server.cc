@@ -281,8 +281,7 @@ Result<ShardedServer> ShardedServer::Create(
   for (size_t s = 0; s < options.num_shards; ++s) {
     CM_ASSIGN_OR_RETURN(
         ModelServer shard_server,
-        ModelServer::Create(model, schema, serving_features,
-                            options.serving));
+        ModelServer::Create(model, schema, serving_features));
     server.shards_.push_back(std::make_unique<ServingShard>(
         s, std::move(shard_server), options, server.fault_hook_.get()));
   }

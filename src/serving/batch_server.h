@@ -69,8 +69,6 @@ struct ShardedServingOptions {
   bool start_paused = false;
   /// Seed of the entity -> shard hash (see ShardRouter).
   uint64_t route_seed = 0x5EED;
-  /// Per-shard ModelServer options.
-  ServingOptions serving;
 };
 
 /// A served request: the score plus where/when it was served.

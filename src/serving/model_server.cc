@@ -23,43 +23,38 @@ double NearestRankPercentile(const std::vector<double>& sorted, double q) {
 
 Result<ModelServer> ModelServer::Create(
     CrossModalModelPtr model, const FeatureSchema* schema,
-    std::vector<FeatureId> serving_features, ServingOptions options) {
+    std::vector<FeatureId> serving_features) {
   return Create(std::shared_ptr<const CrossModalModel>(std::move(model)),
-                schema, std::move(serving_features), options);
+                schema, std::move(serving_features));
 }
 
 Result<ModelServer> ModelServer::Create(
     std::shared_ptr<const CrossModalModel> model, const FeatureSchema* schema,
-    std::vector<FeatureId> serving_features, ServingOptions options) {
+    std::vector<FeatureId> serving_features) {
   if (model == nullptr) return Status::InvalidArgument("model is null");
   if (schema == nullptr) return Status::InvalidArgument("schema is null");
-  if (options.enforce_servable) {
-    for (FeatureId f : serving_features) {
-      if (f < 0 || static_cast<size_t>(f) >= schema->size()) {
-        return Status::InvalidArgument("unknown serving feature id " +
-                                       std::to_string(f));
-      }
-      const FeatureDef& def = schema->def(f);
-      if (!def.servable) {
-        return Status::FailedPrecondition(
-            "model requires nonservable feature '" + def.name +
-            "'; nonservable features may only feed offline training-data "
-            "curation (see §6.4)");
-      }
+  for (FeatureId f : serving_features) {
+    if (f < 0 || static_cast<size_t>(f) >= schema->size()) {
+      return Status::InvalidArgument("unknown serving feature id " +
+                                     std::to_string(f));
+    }
+    const FeatureDef& def = schema->def(f);
+    if (!def.servable) {
+      return Status::FailedPrecondition(
+          "model requires nonservable feature '" + def.name +
+          "'; nonservable features may only feed offline training-data "
+          "curation (see §6.4)");
     }
   }
-  return ModelServer(std::move(model), schema, std::move(serving_features),
-                     options);
+  return ModelServer(std::move(model), schema, std::move(serving_features));
 }
 
 ModelServer::ModelServer(std::shared_ptr<const CrossModalModel> model,
                          const FeatureSchema* schema,
-                         std::vector<FeatureId> serving_features,
-                         ServingOptions options)
+                         std::vector<FeatureId> serving_features)
     : model_(std::move(model)),
       schema_(schema),
       serving_features_(std::move(serving_features)),
-      options_(options),
       stats_mu_(std::make_unique<Mutex>("model_server_stats")) {
   for (size_t f = 0; f < schema_->size(); ++f) {
     if (!schema_->def(static_cast<FeatureId>(f)).servable) {
@@ -69,9 +64,7 @@ ModelServer::ModelServer(std::shared_ptr<const CrossModalModel> model,
 }
 
 double ModelServer::ScoreInternal(const FeatureVector& row) {
-  if (!options_.strip_nonservable_inputs || nonservable_.empty()) {
-    return model_->Score(row);
-  }
+  if (nonservable_.empty()) return model_->Score(row);
   bool needs_strip = false;
   for (FeatureId f : nonservable_) {
     if (!row.Get(f).is_missing()) {

@@ -24,17 +24,6 @@
 
 namespace crossmodal {
 
-/// Server configuration.
-struct ServingOptions {
-  /// Refuse to serve models whose feature list includes nonservable
-  /// features (the safe default).
-  bool enforce_servable = true;
-  /// Strip nonservable values from incoming rows before scoring (they are
-  /// unavailable in production anyway; stripping makes offline evaluation
-  /// match serving behavior).
-  bool strip_nonservable_inputs = true;
-};
-
 /// Request-latency summary in microseconds. Percentiles use nearest-rank
 /// semantics (see NearestRankPercentile); p100 always equals max.
 struct LatencyStats {
@@ -62,19 +51,18 @@ struct LatencyStats {
 class ModelServer {
  public:
   /// Validates `serving_features` (the features the deployed model reads)
-  /// against the schema's servability flags. Fails with FailedPrecondition
-  /// naming the offending feature when enforcement is on.
-  [[nodiscard]] static Result<ModelServer> Create(CrossModalModelPtr model,
-                                    const FeatureSchema* schema,
-                                    std::vector<FeatureId> serving_features,
-                                    ServingOptions options = ServingOptions());
+  /// against the schema's servability flags. Fails with InvalidArgument on
+  /// an id outside the schema and with FailedPrecondition naming the
+  /// offending feature when one is nonservable.
+  [[nodiscard]] static Result<ModelServer> Create(
+      CrossModalModelPtr model, const FeatureSchema* schema,
+      std::vector<FeatureId> serving_features);
 
   /// Same, but sharing an immutable fitted model — the sharded serving tier
   /// hands one model to every shard without cloning it.
   [[nodiscard]] static Result<ModelServer> Create(
       std::shared_ptr<const CrossModalModel> model, const FeatureSchema* schema,
-      std::vector<FeatureId> serving_features,
-      ServingOptions options = ServingOptions());
+      std::vector<FeatureId> serving_features);
 
   ModelServer(ModelServer&&) = default;
   ModelServer& operator=(ModelServer&&) = default;
@@ -97,7 +85,7 @@ class ModelServer {
  private:
   ModelServer(std::shared_ptr<const CrossModalModel> model,
               const FeatureSchema* schema,
-              std::vector<FeatureId> serving_features, ServingOptions options);
+              std::vector<FeatureId> serving_features);
 
   double ScoreInternal(const FeatureVector& row);
 
@@ -105,7 +93,6 @@ class ModelServer {
   const FeatureSchema* schema_;
   std::vector<FeatureId> serving_features_;
   std::vector<FeatureId> nonservable_;  // ids to strip from inputs
-  ServingOptions options_;
   // unique_ptr keeps ModelServer movable (Result<ModelServer> needs it)
   // while giving the latency log a stable, annotated lock.
   std::unique_ptr<Mutex> stats_mu_;

@@ -8,7 +8,6 @@
 #include "graph/knn_graph.h"
 #include "graph/label_propagation.h"
 #include "graph/similarity.h"
-#include "graph/similarity_search.h"
 #include "util/random.h"
 
 namespace crossmodal {
@@ -215,33 +214,15 @@ TEST(PackedKernelTest, SymmetricBitForBitAcrossTables) {
   std::vector<const FeatureVector*> ptrs;
   for (const auto& r : rows) ptrs.push_back(&r);
   sim.FitNormalization(ptrs);
-  // The index packs the first half, the queries the second half.
-  const std::vector<const FeatureVector*> left(ptrs.begin(),
-                                               ptrs.begin() + 12);
-  const std::vector<const FeatureVector*> right(ptrs.begin() + 12,
-                                                ptrs.end());
   const PackedFeatureRows all(ptrs, sim.features());
-  const PackedFeatureRows left_table(left, sim.features());
-  const PackedFeatureRows right_table(right, sim.features());
   for (size_t i = 0; i < rows.size(); ++i) {
     for (size_t j = 0; j < rows.size(); ++j) {
-      const double w = sim.Weight(all, i, all, j);
-      EXPECT_EQ(w, sim.Weight(all, j, all, i));
+      const double w = sim.Weight(all, i, j);
+      EXPECT_EQ(w, sim.Weight(all, j, i));
       EXPECT_EQ(w, sim.Weight(rows[i], rows[j]));
       EXPECT_EQ(w, sim.Weight(rows[j], rows[i]));
-      if (i < 12 && j >= 12) {
-        EXPECT_EQ(w, sim.Weight(left_table, i, right_table, j - 12));
-        EXPECT_EQ(w, sim.Weight(right_table, j - 12, left_table, i));
-      }
     }
   }
-}
-
-TEST(SimilarityTest, CosineSimilarityBasics) {
-  EXPECT_NEAR(CosineSimilarity({1, 0}, {1, 0}), 1.0, 1e-9);
-  EXPECT_NEAR(CosineSimilarity({1, 0}, {0, 1}), 0.0, 1e-9);
-  EXPECT_NEAR(CosineSimilarity({1, 0}, {-1, 0}), -1.0, 1e-9);
-  EXPECT_DOUBLE_EQ(CosineSimilarity({0, 0}, {1, 0}), 0.0);
 }
 
 // ---------- kNN graph -------------------------------------------------------
@@ -365,66 +346,6 @@ TEST_F(KnnGraphTest, EmptyNodeListOk) {
   EXPECT_EQ(graph->num_nodes(), 0u);
 }
 
-
-// ---------- Similarity search / clustering ------------------------------------
-
-TEST_F(KnnGraphTest, SimilarityIndexFindsClusterNeighbors) {
-  FeatureSimilarity sim(&schema_, {0, 1, 2});
-  std::vector<const FeatureVector*> rows;
-  for (EntityId id : nodes_) rows.push_back(*store_.Get(id));
-  sim.FitNormalization(rows);
-  SimilarityIndexOptions options;
-  options.stop_item_fraction = 0.8;  // small fixture; keep cluster tags
-  auto index = SimilarityIndex::Build(nodes_, store_, sim, options);
-  ASSERT_TRUE(index.ok()) << index.status();
-  EXPECT_EQ(index->size(), nodes_.size());
-  // Query with a cluster-A row: neighbors should be cluster A (ids <= 20).
-  const FeatureVector& probe = **store_.Get(1);
-  const auto hits = index->Query(probe, 5);
-  ASSERT_EQ(hits.size(), 5u);
-  for (const Neighbor& h : hits) {
-    EXPECT_LE(h.entity, 20u) << "cross-cluster neighbor returned";
-    EXPECT_GE(h.weight, 0.0);
-    EXPECT_LE(h.weight, 1.0);
-  }
-  // Descending order.
-  for (size_t i = 1; i < hits.size(); ++i) {
-    EXPECT_GE(hits[i - 1].weight, hits[i].weight);
-  }
-}
-
-TEST_F(KnnGraphTest, SimilarityIndexRejectsMissingEntity) {
-  FeatureSimilarity sim(&schema_, {0});
-  std::vector<EntityId> bad = nodes_;
-  bad.push_back(4242);
-  EXPECT_FALSE(SimilarityIndex::Build(bad, store_, sim,
-                                      SimilarityIndexOptions{})
-                   .ok());
-}
-
-TEST_F(KnnGraphTest, ClusteringSeparatesTheTwoClusters) {
-  auto clustering = ClusterEntities(nodes_, store_, {0, 1, 2}, 2);
-  ASSERT_TRUE(clustering.ok()) << clustering.status();
-  ASSERT_EQ(clustering->assignment.size(), nodes_.size());
-  // Perfect 2-means split of the fixture's two clusters.
-  const int label_a = clustering->assignment[0];
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i] <= 20) {
-      EXPECT_EQ(clustering->assignment[i], label_a);
-    } else {
-      EXPECT_NE(clustering->assignment[i], label_a);
-    }
-  }
-  EXPECT_GT(clustering->iterations, 0);
-}
-
-TEST_F(KnnGraphTest, ClusteringValidatesK) {
-  EXPECT_FALSE(ClusterEntities(nodes_, store_, {0}, 0).ok());
-  EXPECT_FALSE(ClusterEntities(nodes_, store_, {0},
-                               static_cast<int>(nodes_.size()) + 1)
-                   .ok());
-}
-
 // ---------- Label propagation -----------------------------------------------
 
 /// A hand-built path graph: 0 -- 1 -- 2 -- 3 -- 4.
@@ -499,9 +420,9 @@ TEST(LabelPropagationTest, FailsWithoutSeeds) {
 
 TEST(ThresholdTuningTest, FindsSeparatingThresholds) {
   // Scores cleanly separate classes.
-  std::vector<std::pair<double, int>> holdout;
-  for (int i = 0; i < 50; ++i) holdout.emplace_back(0.8 + i * 0.001, 1);
-  for (int i = 0; i < 200; ++i) holdout.emplace_back(0.1 + i * 0.001, 0);
+  std::vector<WeightedScore> holdout;
+  for (int i = 0; i < 50; ++i) holdout.push_back({0.8 + i * 0.001, 1, 1.0});
+  for (int i = 0; i < 200; ++i) holdout.push_back({0.1 + i * 0.001, 0, 1.0});
   const auto t = TuneScoreThresholds(holdout, 0.9, 0.95);
   EXPECT_LE(t.positive, 0.81);
   EXPECT_GT(t.positive, 0.31);
@@ -509,39 +430,37 @@ TEST(ThresholdTuningTest, FindsSeparatingThresholds) {
   EXPECT_LT(t.negative, 0.8);
   // Applying thresholds reaches the precision targets.
   size_t tp = 0, fp = 0;
-  for (const auto& [s, y] : holdout) {
-    if (s >= t.positive) (y == 1 ? tp : fp)++;
+  for (const WeightedScore& p : holdout) {
+    if (p.score >= t.positive) (p.label == 1 ? tp : fp)++;
   }
   EXPECT_GE(static_cast<double>(tp) / (tp + fp), 0.9);
 }
 
 TEST(ThresholdTuningTest, AbstainsWhenUnreachable) {
   // All labels negative: no positive threshold can reach precision 0.9.
-  std::vector<std::pair<double, int>> holdout;
-  for (int i = 0; i < 100; ++i) holdout.emplace_back(i * 0.01, 0);
+  std::vector<WeightedScore> holdout;
+  for (int i = 0; i < 100; ++i) holdout.push_back({i * 0.01, 0, 1.0});
   const auto t = TuneScoreThresholds(holdout, 0.9, 0.9);
   EXPECT_TRUE(std::isinf(t.positive));
   EXPECT_LE(t.negative, 1.0);  // negative side achievable
 }
 
 TEST(ThresholdTuningTest, EmptyHoldout) {
-  const auto t = TuneScoreThresholds(
-      std::vector<std::pair<double, int>>{}, 0.9, 0.9);
+  const auto t = TuneScoreThresholds(std::vector<WeightedScore>{}, 0.9, 0.9);
   EXPECT_TRUE(std::isinf(t.positive));
   EXPECT_TRUE(std::isinf(t.negative));
 }
 
 TEST(ThresholdTuningTest, BandsDisjoint) {
-  std::vector<std::pair<double, int>> holdout;
+  std::vector<WeightedScore> holdout;
   Rng rng(9);
   for (int i = 0; i < 500; ++i) {
     const int y = rng.Bernoulli(0.5) ? 1 : 0;
-    holdout.emplace_back(rng.Uniform(), y);  // scores uninformative
+    holdout.push_back({rng.Uniform(), y, 1.0});  // scores uninformative
   }
   const auto t = TuneScoreThresholds(holdout, 0.55, 0.55);
   EXPECT_LT(t.negative, t.positive);
 }
-
 
 TEST(ThresholdTuningTest, WeightsRestoreNaturalMix) {
   // Stratified holdout: 50 positives, 50 negatives — but the natural mix is
@@ -549,15 +468,15 @@ TEST(ThresholdTuningTest, WeightsRestoreNaturalMix) {
   // mix precision 0.5 is unreachable, while the unweighted (balanced) view
   // reaches it easily.
   std::vector<WeightedScore> weighted;
-  std::vector<std::pair<double, int>> unweighted;
+  std::vector<WeightedScore> unweighted;
   Rng rng(31);
   for (int i = 0; i < 50; ++i) {
     const double pos_score = rng.Uniform(0.4, 1.0);
     const double neg_score = rng.Uniform(0.0, 0.9);
     weighted.push_back(WeightedScore{pos_score, 1, 1.0});
     weighted.push_back(WeightedScore{neg_score, 0, 99.0});
-    unweighted.emplace_back(pos_score, 1);
-    unweighted.emplace_back(neg_score, 0);
+    unweighted.push_back(WeightedScore{pos_score, 1, 1.0});
+    unweighted.push_back(WeightedScore{neg_score, 0, 1.0});
   }
   const auto balanced = TuneScoreThresholds(unweighted, 0.5, 0.5);
   const auto corrected = TuneScoreThresholds(weighted, 0.5, 0.5);

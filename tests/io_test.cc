@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -69,6 +70,8 @@ TEST(ArtifactsTest, FeatureValueCodecRoundTrip) {
       FeatureValue::Numeric(-1e-17),
       FeatureValue::Categorical({}),
       FeatureValue::Categorical({5, 1, 9}),
+      FeatureValue::Categorical({std::numeric_limits<int32_t>::min(),
+                                 std::numeric_limits<int32_t>::max()}),
       FeatureValue::Embedding({0.5f, -2.25f, 0.0f}),
   };
   for (const FeatureValue& v : values) {
@@ -83,6 +86,11 @@ TEST(ArtifactsTest, FeatureValueCodecRejectsGarbage) {
   EXPECT_FALSE(DecodeFeatureValue("X:1").ok());
   EXPECT_FALSE(DecodeFeatureValue("N:notanumber").ok());
   EXPECT_FALSE(DecodeFeatureValue("C:1|x|3").ok());
+  // Category ids must fit int32; a wider id must not wrap to a valid one.
+  EXPECT_EQ(DecodeFeatureValue("C:4294967297|-4294967295").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(DecodeFeatureValue("C:2147483648").ok());
+  EXPECT_FALSE(DecodeFeatureValue("C:-2147483649").ok());
 }
 
 // ---------- Schema / store / labels round trips --------------------------------

@@ -112,17 +112,6 @@ TEST_F(ServingTest, RejectsNonservableFeatures) {
             std::string::npos);
 }
 
-TEST_F(ServingTest, EnforcementCanBeDisabledOffline) {
-  auto risk = registry_->schema().Find("content_risk_score");
-  ASSERT_TRUE(risk.ok());
-  std::vector<FeatureId> features = {*risk};
-  ServingOptions options;
-  options.enforce_servable = false;
-  auto server = ModelServer::Create(std::move(model_), &registry_->schema(),
-                                    features, options);
-  EXPECT_TRUE(server.ok());
-}
-
 TEST_F(ServingTest, StripsNonservableInputs) {
   auto risk = registry_->schema().Find("content_risk_score");
   ASSERT_TRUE(risk.ok());

@@ -309,5 +309,24 @@ TEST(ShardedServerTest, CreateValidatesOptionsAndFaultPlan) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(ShardedServerTest, CreateRefusesNonservableFeature) {
+  // §6.4: nonservable resources may feed curation but never the served
+  // model, and no option turns the check off on the sharded path.
+  FeatureSchema schema = MakeSchema();
+  FeatureDef risk;
+  risk.name = "content_risk_score";
+  risk.type = FeatureType::kNumeric;
+  risk.servable = false;
+  auto risk_id = schema.Add(risk);
+  ASSERT_TRUE(risk_id.ok());
+  std::vector<FeatureId> features = AllFeatures();
+  features.push_back(*risk_id);
+  auto server = ShardedServer::Create(std::make_shared<const StubModel>(),
+                                      &schema, features);
+  EXPECT_EQ(server.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(server.status().message().find("content_risk_score"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace crossmodal

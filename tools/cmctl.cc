@@ -284,20 +284,18 @@ void PrintDegradation(const PipelineReport& report) {
   table.Print(std::cout);
 }
 
-PipelineConfig MakeConfig(const Args& args, const World& world) {
+PipelineConfig MakeConfig(const World& world) {
   PipelineConfig config;
   config.seed = DeriveSeed(world.task.seed, "cmctl");
   config.model.ensemble_size = 3;
   config.curation.label_model.fixed_class_balance = world.task.pos_rate;
-  config.store_format = args.store_format;
   return config;
 }
 
-/// Persists the pipeline's feature store under `dir` in the configured
-/// format (features.tsv or features.cmc) and returns the path written.
+/// Persists the pipeline's feature store under `dir` in `format`
+/// (features.tsv or features.cmc) and returns the path written.
 std::string WriteStoreArtifact(const CrossModalPipeline& pipeline,
-                               const std::string& dir) {
-  const StoreFormat format = pipeline.config().store_format;
+                               StoreFormat format, const std::string& dir) {
   const std::string path =
       dir + "/features." + std::string(StoreFormatExtension(format));
   CM_CHECK_OK(WriteFeatureStore(pipeline.store(), path, format));
@@ -308,15 +306,16 @@ int CmdGenerate(const Args& args) {
   const World world = MakeWorld(args);
   std::filesystem::create_directories(args.out);
   CrossModalPipeline pipeline(world.registry.get(), &world.corpus,
-                              MakeConfig(args, world));
+                              MakeConfig(world));
   CM_CHECK_OK(pipeline.GenerateFeatureSpace());
   CM_CHECK_OK(WriteSchemaTsv(world.registry->schema(),
                              args.out + "/schema.tsv"));
-  const std::string store_path = WriteStoreArtifact(pipeline, args.out);
+  const std::string store_path =
+      WriteStoreArtifact(pipeline, args.store_format, args.out);
   std::printf("wrote %zu-feature schema and %zu rows to %s (%s)\n",
               world.registry->schema().size(), pipeline.store().size(),
               store_path.c_str(),
-              StoreFormatName(pipeline.config().store_format));
+              StoreFormatName(args.store_format));
   PrintCacheStats(*world.registry);
   return 0;
 }
@@ -325,12 +324,12 @@ int CmdCurate(const Args& args) {
   const World world = MakeWorld(args);
   std::filesystem::create_directories(args.out);
   CrossModalPipeline pipeline(world.registry.get(), &world.corpus,
-                              MakeConfig(args, world));
+                              MakeConfig(world));
   auto curation = pipeline.CurateTrainingData();
   CM_CHECK(curation.ok()) << curation.status();
   CM_CHECK_OK(WriteSchemaTsv(world.registry->schema(),
                              args.out + "/schema.tsv"));
-  (void)WriteStoreArtifact(pipeline, args.out);
+  (void)WriteStoreArtifact(pipeline, args.store_format, args.out);
   CM_CHECK_OK(WriteWeakLabelsTsv(curation->weak_labels,
                                  args.out + "/weak_labels.tsv"));
   std::printf("curated %zu weak labels with %zu LFs (coverage %.2f); "
@@ -344,7 +343,7 @@ int CmdCurate(const Args& args) {
 int CmdRun(const Args& args) {
   const World world = MakeWorld(args);
   CrossModalPipeline pipeline(world.registry.get(), &world.corpus,
-                              MakeConfig(args, world));
+                              MakeConfig(world));
   auto result = pipeline.Run();
   CM_CHECK(result.ok()) << result.status();
   const auto scores = pipeline.ScoreTestSet(*result->model);
@@ -377,7 +376,7 @@ int CmdRun(const Args& args) {
 int CmdAudit(const Args& args) {
   const World world = MakeWorld(args);
   CrossModalPipeline pipeline(world.registry.get(), &world.corpus,
-                              MakeConfig(args, world));
+                              MakeConfig(world));
   CM_CHECK_OK(pipeline.GenerateFeatureSpace());
   std::vector<EntityId> old_ids, new_ids;
   std::vector<int> old_labels;
@@ -408,7 +407,7 @@ int CmdAudit(const Args& args) {
 int CmdServe(const Args& args) {
   const World world = MakeWorld(args);
   CrossModalPipeline pipeline(world.registry.get(), &world.corpus,
-                              MakeConfig(args, world));
+                              MakeConfig(world));
   auto result = pipeline.Run();
   CM_CHECK(result.ok()) << result.status();
 
