@@ -56,8 +56,8 @@ Result<LogisticRegression> LogisticRegression::Train(
   const size_t n = data.size();
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     const auto perm = rng.Permutation(n);
-    for (size_t start = 0; start < n; start += options.batch_size) {
-      const size_t end = std::min(n, start + options.batch_size);
+    for (size_t start = 0; start < n; start += kBatchSize) {
+      const size_t end = std::min(n, start + kBatchSize);
       const size_t batch = end - start;
       std::fill(slice_grad_b.begin(), slice_grad_b.end(), 0.0);
       for (size_t slice = 0; slice < kGradSlices; ++slice) {

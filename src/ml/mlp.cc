@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "util/logging.h"
 #include "util/parallel.h"
@@ -11,21 +13,49 @@ namespace crossmodal {
 
 namespace {
 
-/// Dense Adam optimizer state for one parameter vector.
-struct AdamState {
-  std::vector<double> m, v;
-  explicit AdamState(size_t n) : m(n, 0.0), v(n, 0.0) {}
+/// He-style init scale multiplier.
+constexpr double kInitScale = 0.2;
+constexpr double kBeta1 = 0.9, kBeta2 = 0.999, kEps = 1e-8;
 
-  void Step(std::vector<double>* params, const std::vector<double>& grad,
-            double lr, double corr1, double corr2) {
-    constexpr double kBeta1 = 0.9, kBeta2 = 0.999, kEps = 1e-8;
-    for (size_t i = 0; i < params->size(); ++i) {
-      m[i] = kBeta1 * m[i] + (1.0 - kBeta1) * grad[i];
-      v[i] = kBeta2 * v[i] + (1.0 - kBeta2) * grad[i] * grad[i];
-      (*params)[i] -= lr * (m[i] / corr1) / (std::sqrt(v[i] / corr2) + kEps);
+/// The per-batch constants of one Adam step, shared by every tensor.
+struct AdamBatch {
+  double scale;         ///< 1 / batch size: averages the summed gradient.
+  double l2;            ///< L2 coefficient (weights only, not biases).
+  double lr;
+  double corr1, corr2;  ///< Bias corrections 1 - beta^t.
+};
+
+/// Batch gradient and Adam moments of one parameter tensor.
+struct ParamState {
+  std::vector<double> grad, m, v;
+  explicit ParamState(size_t n) : grad(n, 0.0), m(n, 0.0), v(n, 0.0) {}
+
+  /// One fused pass: averages the batch gradient, adds the L2 term when
+  /// kDecay, takes the Adam step on `params` and zeroes the gradient for the
+  /// next batch. Per element the arithmetic and its order are those of the
+  /// separate scale, L2 and step passes it replaced, so every fitted weight
+  /// is unchanged.
+  template <bool kDecay>
+  void Step(std::span<double> params, const AdamBatch& b) {
+    double* w = params.data();
+    for (size_t i = 0; i < params.size(); ++i) {
+      double g = grad[i] * b.scale;
+      if constexpr (kDecay) g = g + b.l2 * w[i];
+      grad[i] = 0.0;
+      m[i] = kBeta1 * m[i] + (1.0 - kBeta1) * g;
+      v[i] = kBeta2 * v[i] + (1.0 - kBeta2) * g * g;
+      w[i] -= b.lr * (m[i] / b.corr1) / (std::sqrt(v[i] / b.corr2) + kEps);
     }
   }
 };
+
+/// Adds a slice partial into the batch gradient and re-zeroes the partial.
+void FoldAndZero(std::span<double> partial, std::span<double> sum) {
+  for (size_t i = 0; i < sum.size(); ++i) {
+    sum[i] += partial[i];
+    partial[i] = 0.0;
+  }
+}
 
 }  // namespace
 
@@ -75,13 +105,13 @@ Result<Mlp> Mlp::Train(const Dataset& data, const MlpOptions& options) {
   Rng rng(options.train.seed);
 
   const size_t num_hidden = model.hidden_.size();
+  const size_t h0 = static_cast<size_t>(model.hidden_[0]);
   model.weights_.resize(num_hidden);
   model.biases_.resize(num_hidden);
   {
-    const size_t h0 = static_cast<size_t>(model.hidden_[0]);
     model.weights_[0].resize(data.dim * h0);
-    const double s0 = options.init_scale * std::sqrt(2.0 / std::max<size_t>(
-                                                              1, data.dim));
+    const double s0 =
+        kInitScale * std::sqrt(2.0 / std::max<size_t>(1, data.dim));
     for (auto& w : model.weights_[0]) w = rng.Normal(0.0, s0);
     model.biases_[0].assign(h0, 0.0);
   }
@@ -89,42 +119,45 @@ Result<Mlp> Mlp::Train(const Dataset& data, const MlpOptions& options) {
     const size_t hl = static_cast<size_t>(model.hidden_[l]);
     const size_t hp = static_cast<size_t>(model.hidden_[l - 1]);
     model.weights_[l].resize(hl * hp);
-    const double sl = options.init_scale * std::sqrt(2.0 / hp);
+    const double sl = kInitScale * std::sqrt(2.0 / hp);
     for (auto& w : model.weights_[l]) w = rng.Normal(0.0, sl);
     model.biases_[l].assign(hl, 0.0);
   }
   const size_t h_last = static_cast<size_t>(model.hidden_.back());
   model.out_weights_.resize(h_last);
   for (auto& w : model.out_weights_) {
-    w = rng.Normal(0.0, options.init_scale * std::sqrt(2.0 / h_last));
+    w = rng.Normal(0.0, kInitScale * std::sqrt(2.0 / h_last));
   }
   model.out_bias_ = 0.0;
 
-  // Adam states + gradient accumulators mirroring the parameter shapes.
-  std::vector<AdamState> adam_w, adam_b;
-  std::vector<std::vector<double>> grad_w(num_hidden), grad_b(num_hidden);
+  // Batch gradients + Adam moments mirroring the parameter shapes.
+  std::vector<ParamState> w_state, b_state;
   for (size_t l = 0; l < num_hidden; ++l) {
-    adam_w.emplace_back(model.weights_[l].size());
-    adam_b.emplace_back(model.biases_[l].size());
-    grad_w[l].assign(model.weights_[l].size(), 0.0);
-    grad_b[l].assign(model.biases_[l].size(), 0.0);
+    w_state.emplace_back(model.weights_[l].size());
+    b_state.emplace_back(model.biases_[l].size());
   }
-  AdamState adam_out(h_last), adam_out_b(1);
-  std::vector<double> grad_out(h_last, 0.0), grad_out_b(1, 0.0);
+  ParamState out_w_state(h_last), out_b_state(1);
 
   const TrainOptions& t = options.train;
 
   // Gradient partial + forward/backward workspaces of one batch slice. Each
   // of the kGradSlices fixed slices runs inline in slice order (training
   // parallelizes across ensemble members instead, see TrainModel): it
-  // accumulates into the zeroed partial while reading the
-  // frozen-within-batch weights, and the partial folds into grad_* before
-  // the next slice. The summation tree depends only on the batch split, so
-  // one partial serves all slices.
+  // accumulates into the zero partial while reading the
+  // frozen-within-batch weights, and the partial folds into the batch
+  // gradient, and is re-zeroed, before the next slice. The summation tree
+  // depends only on the batch split, so one partial serves all slices. Of
+  // the [input_dim][h0] input layer only the rows of the slice's input
+  // indices are nonzero; `rows` lists them once each (`row_seen` marks
+  // them), and only they are folded and re-zeroed. Adding the other rows'
+  // +0.0 changed no sum, since an accumulator that starts at +0.0 is never
+  // -0.0.
   struct SliceGrads {
     std::vector<std::vector<double>> grad_w, grad_b;
     std::vector<double> grad_out;
     double grad_out_b = 0.0;
+    std::vector<uint32_t> rows;
+    std::vector<char> row_seen;
     std::vector<std::vector<double>> acts, delta;  // workspaces
   };
   SliceGrads s;
@@ -135,6 +168,7 @@ Result<Mlp> Mlp::Train(const Dataset& data, const MlpOptions& options) {
     s.grad_b[l].assign(model.biases_[l].size(), 0.0);
   }
   s.grad_out.assign(h_last, 0.0);
+  s.row_seen.assign(data.dim, 0);
   s.delta.resize(num_hidden);
 
   double beta1_t = 1.0, beta2_t = 1.0;
@@ -142,25 +176,12 @@ Result<Mlp> Mlp::Train(const Dataset& data, const MlpOptions& options) {
 
   for (int epoch = 0; epoch < t.epochs; ++epoch) {
     const auto perm = rng.Permutation(n);
-    for (size_t start = 0; start < n; start += t.batch_size) {
-      const size_t end = std::min(n, start + t.batch_size);
+    for (size_t start = 0; start < n; start += kBatchSize) {
+      const size_t end = std::min(n, start + kBatchSize);
       const size_t batch = end - start;
-      for (size_t l = 0; l < num_hidden; ++l) {
-        std::fill(grad_w[l].begin(), grad_w[l].end(), 0.0);
-        std::fill(grad_b[l].begin(), grad_b[l].end(), 0.0);
-      }
-      std::fill(grad_out.begin(), grad_out.end(), 0.0);
-      grad_out_b[0] = 0.0;
-
       for (size_t slice = 0; slice < kGradSlices; ++slice) {
         const auto [s_begin, s_end] = SliceBounds(batch, kGradSlices, slice);
         if (s_begin == s_end) continue;
-        for (size_t l = 0; l < num_hidden; ++l) {
-          std::fill(s.grad_w[l].begin(), s.grad_w[l].end(), 0.0);
-          std::fill(s.grad_b[l].begin(), s.grad_b[l].end(), 0.0);
-        }
-        std::fill(s.grad_out.begin(), s.grad_out.end(), 0.0);
-        s.grad_out_b = 0.0;
         for (size_t k = s_begin; k < s_end; ++k) {
           const Example& ex = data.examples[perm[start + k]];
           model.Forward(ex.x, &s.acts);
@@ -201,52 +222,48 @@ Result<Mlp> Mlp::Train(const Dataset& data, const MlpOptions& options) {
             }
           }
           // Input layer gradients (sparse).
-          const size_t h0 = static_cast<size_t>(model.hidden_[0]);
+          const auto& d0 = s.delta[0];
           for (const auto& [idx, val] : ex.x.entries) {
+            if (!s.row_seen[idx]) {
+              s.row_seen[idx] = 1;
+              s.rows.push_back(idx);
+            }
             double* gw_row = &s.grad_w[0][static_cast<size_t>(idx) * h0];
-            const auto& d0 = s.delta[0];
             for (size_t j = 0; j < h0; ++j) gw_row[j] += d0[j] * val;
           }
-          for (size_t j = 0; j < h0; ++j) s.grad_b[0][j] += s.delta[0][j];
+          for (size_t j = 0; j < h0; ++j) s.grad_b[0][j] += d0[j];
         }
 
-        // Fold this slice's partial in slice order.
+        // Fold this slice's partial in slice order, re-zeroing it.
+        for (uint32_t r : s.rows) {
+          const size_t off = static_cast<size_t>(r) * h0;
+          FoldAndZero(std::span(s.grad_w[0]).subspan(off, h0),
+                      std::span(w_state[0].grad).subspan(off, h0));
+          s.row_seen[r] = 0;
+        }
+        s.rows.clear();
+        for (size_t l = 1; l < num_hidden; ++l) {
+          FoldAndZero(s.grad_w[l], w_state[l].grad);
+        }
         for (size_t l = 0; l < num_hidden; ++l) {
-          for (size_t i = 0; i < grad_w[l].size(); ++i) {
-            grad_w[l][i] += s.grad_w[l][i];
-          }
-          for (size_t i = 0; i < grad_b[l].size(); ++i) {
-            grad_b[l][i] += s.grad_b[l][i];
-          }
+          FoldAndZero(s.grad_b[l], b_state[l].grad);
         }
-        for (size_t j = 0; j < h_last; ++j) grad_out[j] += s.grad_out[j];
-        grad_out_b[0] += s.grad_out_b;
+        FoldAndZero(s.grad_out, out_w_state.grad);
+        out_b_state.grad[0] += s.grad_out_b;
+        s.grad_out_b = 0.0;
       }
 
-      // Adam step (gradients averaged over the batch; L2 added).
-      const double scale = 1.0 / static_cast<double>(end - start);
-      beta1_t *= 0.9;
-      beta2_t *= 0.999;
-      const double corr1 = 1.0 - beta1_t, corr2 = 1.0 - beta2_t;
+      // Adam step (gradients averaged over the batch; L2 on weights).
+      beta1_t *= kBeta1;
+      beta2_t *= kBeta2;
+      const AdamBatch step{1.0 / static_cast<double>(batch), t.l2,
+                           t.learning_rate, 1.0 - beta1_t, 1.0 - beta2_t};
       for (size_t l = 0; l < num_hidden; ++l) {
-        for (size_t i = 0; i < grad_w[l].size(); ++i) {
-          grad_w[l][i] = grad_w[l][i] * scale + t.l2 * model.weights_[l][i];
-        }
-        for (auto& g : grad_b[l]) g *= scale;
-        adam_w[l].Step(&model.weights_[l], grad_w[l], t.learning_rate, corr1,
-                       corr2);
-        adam_b[l].Step(&model.biases_[l], grad_b[l], t.learning_rate, corr1,
-                       corr2);
+        w_state[l].Step<true>(model.weights_[l], step);
+        b_state[l].Step<false>(model.biases_[l], step);
       }
-      for (size_t j = 0; j < h_last; ++j) {
-        grad_out[j] = grad_out[j] * scale + t.l2 * model.out_weights_[j];
-      }
-      grad_out_b[0] *= scale;
-      adam_out.Step(&model.out_weights_, grad_out, t.learning_rate, corr1,
-                    corr2);
-      std::vector<double> ob{model.out_bias_};
-      adam_out_b.Step(&ob, grad_out_b, t.learning_rate, corr1, corr2);
-      model.out_bias_ = ob[0];
+      out_w_state.Step<true>(model.out_weights_, step);
+      out_b_state.Step<false>({&model.out_bias_, 1}, step);
     }
   }
   return model;

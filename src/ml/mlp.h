@@ -15,7 +15,6 @@ struct MlpOptions {
   TrainOptions train;
   /// Hidden layer widths, e.g. {32} or {64, 32}. Must be non-empty.
   std::vector<int> hidden = {32};
-  double init_scale = 0.2;  ///< He-style init scale multiplier.
 };
 
 /// The fully-connected DNN of the paper's TFX pipelines.

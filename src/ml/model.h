@@ -18,7 +18,6 @@ namespace crossmodal {
 /// Training hyperparameters (Adam).
 struct TrainOptions {
   int epochs = 12;
-  size_t batch_size = 64;
   double learning_rate = 0.05;
   double l2 = 1e-5;
   uint64_t seed = 0x7EA1;
@@ -34,6 +33,9 @@ struct TrainOptions {
 /// the count is a constant so that float summation tree, and with it every
 /// fitted weight, never changes.
 inline constexpr size_t kGradSlices = 8;
+
+/// Mini-batch size of every trainer (one Adam step per batch).
+inline constexpr size_t kBatchSize = 64;
 
 /// A trained binary classifier.
 class Model {

@@ -44,8 +44,8 @@ Result<SoftmaxRegression> SoftmaxRegression::Train(
   std::vector<double> probs(K);
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     const auto perm = rng.Permutation(n);
-    for (size_t start = 0; start < n; start += options.batch_size) {
-      const size_t end = std::min(n, start + options.batch_size);
+    for (size_t start = 0; start < n; start += kBatchSize) {
+      const size_t end = std::min(n, start + kBatchSize);
       touched.clear();
       std::fill(grad_b.begin(), grad_b.end(), 0.0);
       for (size_t k = start; k < end; ++k) {

@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 #include "ml/metrics.h"
 #include "ml/mlp.h"
 #include "ml/trainer.h"
+#include "util/parallel.h"
 #include "util/random.h"
 
 namespace crossmodal {
@@ -386,6 +389,260 @@ TEST(MlpTest, RejectsBadConfig) {
   Dataset empty;
   EXPECT_EQ(Mlp::Train(empty, MlpOptions{}).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+/// The dense MLP trainer that Mlp::Train replaced, kept as a bit-exact
+/// oracle: every batch zeroes and folds whole slice partials, then runs
+/// separate scale + L2 and Adam passes over every parameter. Built with the
+/// tests' default flags, not cm_ml's vectorizer flags.
+struct ReferenceMlp {
+  std::vector<int> hidden;
+  std::vector<std::vector<double>> weights, biases;
+  std::vector<double> out_weights;
+  double out_bias = 0.0;
+
+  void Forward(const SparseRow& x,
+               std::vector<std::vector<double>>* acts) const {
+    const size_t num_hidden = hidden.size();
+    acts->resize(num_hidden);
+    const size_t h0 = static_cast<size_t>(hidden[0]);
+    auto& a0 = (*acts)[0];
+    a0.assign(h0, 0.0);
+    for (const auto& [idx, val] : x.entries) {
+      const double* w_row = &weights[0][static_cast<size_t>(idx) * h0];
+      for (size_t j = 0; j < h0; ++j) a0[j] += w_row[j] * val;
+    }
+    for (size_t j = 0; j < h0; ++j) a0[j] = std::max(0.0, a0[j] + biases[0][j]);
+    for (size_t l = 1; l < num_hidden; ++l) {
+      const size_t hl = static_cast<size_t>(hidden[l]);
+      const size_t hp = static_cast<size_t>(hidden[l - 1]);
+      auto& al = (*acts)[l];
+      al.assign(hl, 0.0);
+      const auto& prev = (*acts)[l - 1];
+      for (size_t j = 0; j < hl; ++j) {
+        const double* w_row = &weights[l][j * hp];
+        double acc = biases[l][j];
+        for (size_t i = 0; i < hp; ++i) acc += w_row[i] * prev[i];
+        al[j] = std::max(0.0, acc);
+      }
+    }
+  }
+
+  std::vector<double> Embed(const SparseRow& x) const {
+    std::vector<std::vector<double>> acts;
+    Forward(x, &acts);
+    return acts.back();
+  }
+
+  double Predict(const SparseRow& x) const {
+    const auto last = Embed(x);
+    double logit = out_bias;
+    for (size_t j = 0; j < last.size(); ++j) logit += out_weights[j] * last[j];
+    return Sigmoid(logit);
+  }
+};
+
+struct ReferenceAdam {
+  std::vector<double> m, v;
+  explicit ReferenceAdam(size_t n) : m(n, 0.0), v(n, 0.0) {}
+
+  void Step(std::vector<double>* params, const std::vector<double>& grad,
+            double lr, double corr1, double corr2) {
+    constexpr double kBeta1 = 0.9, kBeta2 = 0.999, kEps = 1e-8;
+    for (size_t i = 0; i < params->size(); ++i) {
+      m[i] = kBeta1 * m[i] + (1.0 - kBeta1) * grad[i];
+      v[i] = kBeta2 * v[i] + (1.0 - kBeta2) * grad[i] * grad[i];
+      (*params)[i] -= lr * (m[i] / corr1) / (std::sqrt(v[i] / corr2) + kEps);
+    }
+  }
+};
+
+ReferenceMlp TrainReferenceMlp(const Dataset& data,
+                               const MlpOptions& options) {
+  constexpr double kInitScale = 0.2;
+  constexpr size_t kBatch = 64;
+  ReferenceMlp model;
+  model.hidden = options.hidden;
+  Rng rng(options.train.seed);
+  const size_t num_hidden = model.hidden.size();
+  const size_t h0 = static_cast<size_t>(model.hidden[0]);
+  model.weights.resize(num_hidden);
+  model.biases.resize(num_hidden);
+  model.weights[0].resize(data.dim * h0);
+  const double s0 =
+      kInitScale * std::sqrt(2.0 / std::max<size_t>(1, data.dim));
+  for (auto& w : model.weights[0]) w = rng.Normal(0.0, s0);
+  model.biases[0].assign(h0, 0.0);
+  for (size_t l = 1; l < num_hidden; ++l) {
+    const size_t hl = static_cast<size_t>(model.hidden[l]);
+    const size_t hp = static_cast<size_t>(model.hidden[l - 1]);
+    model.weights[l].resize(hl * hp);
+    const double sl = kInitScale * std::sqrt(2.0 / hp);
+    for (auto& w : model.weights[l]) w = rng.Normal(0.0, sl);
+    model.biases[l].assign(hl, 0.0);
+  }
+  const size_t h_last = static_cast<size_t>(model.hidden.back());
+  model.out_weights.resize(h_last);
+  for (auto& w : model.out_weights) {
+    w = rng.Normal(0.0, kInitScale * std::sqrt(2.0 / h_last));
+  }
+
+  std::vector<ReferenceAdam> adam_w, adam_b;
+  std::vector<std::vector<double>> grad_w(num_hidden), grad_b(num_hidden);
+  std::vector<std::vector<double>> s_grad_w(num_hidden), s_grad_b(num_hidden);
+  for (size_t l = 0; l < num_hidden; ++l) {
+    adam_w.emplace_back(model.weights[l].size());
+    adam_b.emplace_back(model.biases[l].size());
+    grad_w[l].assign(model.weights[l].size(), 0.0);
+    grad_b[l].assign(model.biases[l].size(), 0.0);
+    s_grad_w[l].assign(model.weights[l].size(), 0.0);
+    s_grad_b[l].assign(model.biases[l].size(), 0.0);
+  }
+  ReferenceAdam adam_out(h_last), adam_out_b(1);
+  std::vector<double> grad_out(h_last), grad_out_b(1);
+  std::vector<double> s_grad_out(h_last);
+  double s_grad_out_b = 0.0;
+  std::vector<std::vector<double>> acts, delta(num_hidden);
+
+  const TrainOptions& t = options.train;
+  double beta1_t = 1.0, beta2_t = 1.0;
+  const size_t n = data.size();
+  for (int epoch = 0; epoch < t.epochs; ++epoch) {
+    const auto perm = rng.Permutation(n);
+    for (size_t start = 0; start < n; start += kBatch) {
+      const size_t end = std::min(n, start + kBatch);
+      const size_t batch = end - start;
+      for (size_t l = 0; l < num_hidden; ++l) {
+        std::fill(grad_w[l].begin(), grad_w[l].end(), 0.0);
+        std::fill(grad_b[l].begin(), grad_b[l].end(), 0.0);
+      }
+      std::fill(grad_out.begin(), grad_out.end(), 0.0);
+      grad_out_b[0] = 0.0;
+      for (size_t slice = 0; slice < kGradSlices; ++slice) {
+        const auto [s_begin, s_end] = SliceBounds(batch, kGradSlices, slice);
+        if (s_begin == s_end) continue;
+        for (size_t l = 0; l < num_hidden; ++l) {
+          std::fill(s_grad_w[l].begin(), s_grad_w[l].end(), 0.0);
+          std::fill(s_grad_b[l].begin(), s_grad_b[l].end(), 0.0);
+        }
+        std::fill(s_grad_out.begin(), s_grad_out.end(), 0.0);
+        s_grad_out_b = 0.0;
+        for (size_t k = s_begin; k < s_end; ++k) {
+          const Example& ex = data.examples[perm[start + k]];
+          model.Forward(ex.x, &acts);
+          const auto& last = acts.back();
+          double logit = model.out_bias;
+          for (size_t j = 0; j < h_last; ++j) {
+            logit += model.out_weights[j] * last[j];
+          }
+          const double p = Sigmoid(logit);
+          const double g_out = ex.weight * (p - ex.target);
+          for (size_t j = 0; j < h_last; ++j) s_grad_out[j] += g_out * last[j];
+          s_grad_out_b += g_out;
+          auto& d_last = delta[num_hidden - 1];
+          d_last.assign(h_last, 0.0);
+          for (size_t j = 0; j < h_last; ++j) {
+            if (last[j] > 0.0) d_last[j] = g_out * model.out_weights[j];
+          }
+          for (size_t l = num_hidden - 1; l >= 1; --l) {
+            const size_t hl = static_cast<size_t>(model.hidden[l]);
+            const size_t hp = static_cast<size_t>(model.hidden[l - 1]);
+            const auto& prev = acts[l - 1];
+            auto& d_prev = delta[l - 1];
+            d_prev.assign(hp, 0.0);
+            for (size_t j = 0; j < hl; ++j) {
+              const double dj = delta[l][j];
+              if (dj == 0.0) continue;
+              double* gw_row = &s_grad_w[l][j * hp];
+              const double* w_row = &model.weights[l][j * hp];
+              for (size_t i = 0; i < hp; ++i) {
+                gw_row[i] += dj * prev[i];
+                if (prev[i] > 0.0) d_prev[i] += dj * w_row[i];
+              }
+              s_grad_b[l][j] += dj;
+            }
+          }
+          for (const auto& [idx, val] : ex.x.entries) {
+            double* gw_row = &s_grad_w[0][static_cast<size_t>(idx) * h0];
+            for (size_t j = 0; j < h0; ++j) gw_row[j] += delta[0][j] * val;
+          }
+          for (size_t j = 0; j < h0; ++j) s_grad_b[0][j] += delta[0][j];
+        }
+        for (size_t l = 0; l < num_hidden; ++l) {
+          for (size_t i = 0; i < grad_w[l].size(); ++i) {
+            grad_w[l][i] += s_grad_w[l][i];
+          }
+          for (size_t i = 0; i < grad_b[l].size(); ++i) {
+            grad_b[l][i] += s_grad_b[l][i];
+          }
+        }
+        for (size_t j = 0; j < h_last; ++j) grad_out[j] += s_grad_out[j];
+        grad_out_b[0] += s_grad_out_b;
+      }
+      const double scale = 1.0 / static_cast<double>(batch);
+      beta1_t *= 0.9;
+      beta2_t *= 0.999;
+      const double corr1 = 1.0 - beta1_t, corr2 = 1.0 - beta2_t;
+      for (size_t l = 0; l < num_hidden; ++l) {
+        for (size_t i = 0; i < grad_w[l].size(); ++i) {
+          grad_w[l][i] = grad_w[l][i] * scale + t.l2 * model.weights[l][i];
+        }
+        for (auto& g : grad_b[l]) g *= scale;
+        adam_w[l].Step(&model.weights[l], grad_w[l], t.learning_rate, corr1,
+                       corr2);
+        adam_b[l].Step(&model.biases[l], grad_b[l], t.learning_rate, corr1,
+                       corr2);
+      }
+      for (size_t j = 0; j < h_last; ++j) {
+        grad_out[j] = grad_out[j] * scale + t.l2 * model.out_weights[j];
+      }
+      grad_out_b[0] *= scale;
+      adam_out.Step(&model.out_weights, grad_out, t.learning_rate, corr1,
+                    corr2);
+      std::vector<double> ob{model.out_bias};
+      adam_out_b.Step(&ob, grad_out_b, t.learning_rate, corr1, corr2);
+      model.out_bias = ob[0];
+    }
+  }
+  return model;
+}
+
+/// Sparse rows over 12 input dims of which only 0..8 are ever set, soft
+/// targets, and every fifth example at weight 0.
+Dataset SparseSoftDataset(size_t n, uint64_t seed) {
+  Dataset data;
+  data.dim = 12;
+  Rng rng(seed);
+  for (size_t i = 0; i < n; ++i) {
+    Example ex;
+    for (uint32_t d = 0; d < 9; ++d) {
+      if (rng.Bernoulli(0.4)) ex.x.Add(d, static_cast<float>(rng.Normal()));
+    }
+    ex.target = static_cast<float>(rng.Uniform());
+    ex.weight = i % 5 == 0 ? 0.0f : 1.0f;
+    data.examples.push_back(std::move(ex));
+  }
+  return data;
+}
+
+TEST(MlpTest, TrainMatchesDenseReference) {
+  // 197 = 3 * 64 + 5: the last batch of every epoch leaves three of the
+  // kGradSlices slices empty and the rest one example long.
+  const Dataset train = SparseSoftDataset(197, 12);
+  for (const std::vector<int>& hidden :
+       {std::vector<int>{16}, std::vector<int>{8, 4}}) {
+    SCOPED_TRACE(hidden.size());
+    MlpOptions options;
+    options.hidden = hidden;
+    auto model = Mlp::Train(train, options);
+    ASSERT_TRUE(model.ok());
+    const ReferenceMlp reference = TrainReferenceMlp(train, options);
+    for (const Example& ex : train.examples) {
+      // Exact double equality: the kernel must be bit-identical.
+      EXPECT_EQ(model->Predict(ex.x), reference.Predict(ex.x));
+      EXPECT_EQ(model->Embed(ex.x), reference.Embed(ex.x));
+    }
+  }
 }
 
 // ---------- Trainer / tuner -------------------------------------------------
