@@ -32,9 +32,8 @@ struct ParamState {
 
   /// One fused pass: averages the batch gradient, adds the L2 term when
   /// kDecay, takes the Adam step on `params` and zeroes the gradient for the
-  /// next batch. Per element the arithmetic and its order are those of the
-  /// separate scale, L2 and step passes it replaced, so every fitted weight
-  /// is unchanged.
+  /// next batch. The per-element expressions and their evaluation order are
+  /// part of the fitted weights: any change alters every cmaudit hash.
   template <bool kDecay>
   void Step(std::span<double> params, const AdamBatch& b) {
     double* w = params.data();
@@ -149,9 +148,9 @@ Result<Mlp> Mlp::Train(const Dataset& data, const MlpOptions& options) {
   // depends only on the batch split, so one partial serves all slices. Of
   // the [input_dim][h0] input layer only the rows of the slice's input
   // indices are nonzero; `rows` lists them once each (`row_seen` marks
-  // them), and only they are folded and re-zeroed. Adding the other rows'
-  // +0.0 changed no sum, since an accumulator that starts at +0.0 is never
-  // -0.0.
+  // them), and only they are folded and re-zeroed. Skipping the other rows
+  // is exact: they hold +0.0, and a sum that starts at +0.0 is never -0.0,
+  // so adding +0.0 leaves it unchanged.
   struct SliceGrads {
     std::vector<std::vector<double>> grad_w, grad_b;
     std::vector<double> grad_out;
