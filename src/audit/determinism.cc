@@ -169,7 +169,7 @@ Result<StageHashes> RunStack(const DeterminismOptions& options) {
   // are pure functions of (derived seed, op, basename, attempt), so both
   // audit runs see the identical fault schedule.
   std::unique_ptr<ScopedIoFaultInjection> io_faults;
-  if (options.fault_plan.IoEntry() != nullptr) {
+  if (options.fault_plan.ExactEntry(kIoFaultService) != nullptr) {
     io_faults = std::make_unique<ScopedIoFaultInjection>(
         IoFaultConfigFromPlan(options.fault_plan));
   }

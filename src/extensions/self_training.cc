@@ -7,6 +7,13 @@
 
 namespace crossmodal {
 
+namespace {
+
+/// Training weight of pseudo-labeled points.
+constexpr float kPseudoWeight = 0.5f;
+
+}  // namespace
+
 Result<SelfTrainingResult> RunSelfTraining(
     const FusionInput& base_input, const std::vector<EntityId>& candidates,
     const ModelSpec& spec, const SelfTrainingOptions& options) {
@@ -56,8 +63,7 @@ Result<SelfTrainingResult> RunSelfTraining(
       cap = std::min(cap, pool->size());
       for (size_t k = 0; k < cap; ++k) {
         const EntityId id = (*pool)[k].second;
-        const TrainPoint pseudo{id, Modality::kImage, target,
-                                options.pseudo_weight};
+        const TrainPoint pseudo{id, Modality::kImage, target, kPseudoWeight};
         auto it = point_index.find(id);
         if (it != point_index.end()) {
           input.points[it->second] = pseudo;

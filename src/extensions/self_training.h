@@ -23,8 +23,6 @@ struct SelfTrainingOptions {
   double negative_threshold = 0.02;
   /// Per-round cap on adopted pseudo-labels per polarity (0 = no cap).
   size_t max_per_polarity = 500;
-  /// Training weight of pseudo-labeled points.
-  float pseudo_weight = 0.5f;
   int rounds = 1;
 };
 

@@ -21,6 +21,12 @@ double SimilarityGraph::AverageDegree() const {
 
 namespace {
 
+/// Most-overlapping blocking candidates scored exactly per node.
+constexpr size_t kMaxCandidates = 150;
+
+/// Edges lighter than this are dropped.
+constexpr double kMinWeight = 0.05;
+
 /// Top-k neighbors (weight, node index) of each of the table's rows: the
 /// blocking pass and the exact Algorithm-1 scoring both read `table`,
 /// never a FeatureValue.
@@ -85,11 +91,11 @@ std::vector<std::vector<std::pair<float, uint32_t>>> SelectNeighbors(
       }
       // Keep the most-overlapping candidates plus random ones.
       candidates.assign(touched.begin(), touched.end());
-      if (candidates.size() > options.max_candidates) {
+      if (candidates.size() > kMaxCandidates) {
         std::nth_element(
             candidates.begin(),
             candidates.begin() +
-                static_cast<std::ptrdiff_t>(options.max_candidates),
+                static_cast<std::ptrdiff_t>(kMaxCandidates),
             candidates.end(),
             [&](uint32_t a, uint32_t b) {
               // Strict total order (ties broken by node index):
@@ -101,7 +107,7 @@ std::vector<std::vector<std::pair<float, uint32_t>>> SelectNeighbors(
               }
               return a < b;
             });
-        candidates.resize(options.max_candidates);
+        candidates.resize(kMaxCandidates);
       }
       for (uint32_t j : touched) shared_count[j] = 0;  // reset scratch
       Rng rng(DeriveSeed(options.seed, static_cast<uint64_t>(i)));
@@ -119,7 +125,7 @@ std::vector<std::vector<std::pair<float, uint32_t>>> SelectNeighbors(
       scored.clear();
       for (uint32_t j : candidates) {
         const double w = similarity.Weight(table, i, j);
-        if (w < options.min_weight) continue;
+        if (w < kMinWeight) continue;
         scored.emplace_back(static_cast<float>(w), j);
       }
       const size_t k = static_cast<size_t>(options.k);

@@ -35,9 +35,7 @@ struct SimilarityGraph {
 /// Construction parameters.
 struct KnnGraphOptions {
   int k = 10;                    ///< Neighbors kept per node.
-  size_t max_candidates = 150;   ///< Exact evaluations per node.
   size_t random_candidates = 8;  ///< Extra random candidates (connectivity).
-  double min_weight = 0.05;      ///< Edges below this are dropped.
   /// Items occurring in more than this fraction of nodes are stop-items.
   double stop_item_fraction = 0.08;
   uint64_t seed = 0x9A4B;

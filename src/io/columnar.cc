@@ -1,6 +1,5 @@
 #include "io/columnar.h"
 
-#include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -12,7 +11,6 @@
 
 #include "io/artifacts.h"
 #include "io/file_io.h"
-#include "io/io_faults.h"
 #include "util/check.h"
 #include "util/hashing.h"
 
@@ -367,25 +365,7 @@ Result<ColumnarReader> ColumnarReader::Open(const FeatureSchema* schema,
                                             const std::string& path) {
   if (schema == nullptr) return Status::InvalidArgument("schema is null");
 
-  // Open through the IO fault injector with the same retry semantics as the
-  // byte-file helpers (io/file_io.cc).
-  const IoFaultInjector* injector = ActiveIoFaultInjector();
-  const int budget =
-      injector == nullptr ? 1 : std::max(1, injector->config().max_attempts);
-  const std::string key = IoFaultKey(path);
-  int fd = -1;
-  Status last = Status::Internal("open loop did not run");
-  for (int attempt = 0; attempt < budget; ++attempt) {
-    last = injector == nullptr ? Status::OK()
-                               : injector->CheckOpen('r', key, attempt);
-    if (last.ok()) {
-      fd = ::open(path.c_str(), O_RDONLY);
-      if (fd >= 0) break;
-      last = Status::IOError("cannot open for reading: " + path);
-    }
-    if (attempt + 1 < budget) injector->AccountRetryBackoff(key, attempt);
-  }
-  if (fd < 0) return last;
+  CM_ASSIGN_OR_RETURN(const int fd, OpenFileForReading(path));
 
   struct stat file_info {};
   if (::fstat(fd, &file_info) != 0) {
@@ -471,46 +451,6 @@ EntityId ColumnarReader::entity(size_t row) const {
   return LoadU64(data_ + ids_offset_ + 8 * row);
 }
 
-Result<FeatureVector> ColumnarReader::ReadRow(EntityId entity_id) const {
-  CM_DCHECK(generation_ != 0) << "use of moved-from or closed ColumnarReader";
-  // Binary search over the ascending id array.
-  size_t lo = 0, hi = num_rows_;
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (entity(mid) < entity_id) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo >= num_rows_ || entity(lo) != entity_id) {
-    return Status::NotFound("entity not in columnar store: " +
-                            std::to_string(entity_id));
-  }
-  const size_t row = lo;
-
-  FeatureVector out(num_cols_);
-  const size_t limit = size_ - kFooterSize;
-  for (size_t c = 0; c < num_cols_; ++c) {
-    const uint64_t offset = LoadU64(data_ + offsets_offset_ + 8 * c);
-    CM_ASSIGN_OR_RETURN(
-        ColumnLayout col,
-        ParseColumnBlock(data_, limit, offset, num_rows_,
-                         schema_->def(static_cast<FeatureId>(c))));
-    if (!BitSet(col.bitmap, row)) continue;
-    uint64_t rank = 0;
-    for (size_t r = 0; r < row; ++r) {
-      if (BitSet(col.bitmap, r)) ++rank;
-    }
-    uint64_t elem = 0;
-    if (col.lengths != nullptr) {
-      for (uint64_t i = 0; i < rank; ++i) elem += LoadU32(col.lengths + 4 * i);
-    }
-    out.Set(static_cast<FeatureId>(c), DecodeAt(col, rank, elem));
-  }
-  return out;
-}
-
 Result<FeatureStore> ColumnarReader::Materialize() const {
   CM_DCHECK(generation_ != 0) << "use of moved-from or closed ColumnarReader";
   std::vector<FeatureVector> rows(num_rows_, FeatureVector(num_cols_));
@@ -559,9 +499,13 @@ Result<FeatureStore> ReadFeatureStore(const FeatureSchema* schema,
 }
 
 Result<StoreFormat> DetectStoreFormat(const std::string& path) {
-  CM_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(path));
-  if (bytes.size() >= sizeof(kMagic) &&
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0) {
+  CM_ASSIGN_OR_RETURN(const int fd, OpenFileForReading(path));
+  char magic[sizeof(kMagic)];
+  const ssize_t got = ::read(fd, magic, sizeof(magic));
+  ::close(fd);
+  if (got < 0) return Status::IOError("read failed: " + path);
+  if (static_cast<size_t>(got) == sizeof(kMagic) &&
+      std::memcmp(magic, kMagic, sizeof(kMagic)) == 0) {
     return StoreFormat::kColumnar;
   }
   return StoreFormat::kTsv;

@@ -81,10 +81,6 @@ class ColumnarReader {
   /// Entity id of row `row` (row < num_rows()).
   EntityId entity(size_t row) const;
 
-  /// Decodes one row by entity id (binary search over the ascending id
-  /// array, then a per-column rank scan); NotFound for unknown entities.
-  [[nodiscard]] Result<FeatureVector> ReadRow(EntityId entity) const;
-
   /// Decodes the whole file into an in-memory store (one sequential pass
   /// per column).
   [[nodiscard]] Result<FeatureStore> Materialize() const;

@@ -1,11 +1,13 @@
 #include "io/file_io.h"
 
-#include <algorithm>
+#include <fcntl.h>
+
 #include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "io/io_faults.h"
+#include "util/retry.h"
 
 namespace crossmodal {
 
@@ -56,39 +58,49 @@ Status WriteOnce(const std::string& path, const std::string& bytes,
   return Status::OK();
 }
 
-bool Retryable(const Status& status) {
-  return status.code() == StatusCode::kUnavailable ||
-         status.code() == StatusCode::kIOError;
+Result<int> OpenOnce(const std::string& path, const std::string& key,
+                     const IoFaultInjector* injector, int attempt) {
+  if (injector != nullptr) {
+    CM_RETURN_IF_ERROR(injector->CheckOpen('r', key, attempt));
+  }
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Status::IOError("cannot open for reading: " + path);
+  return fd;
+}
+
+/// Runs `once(path, key, injector, attempt)` with the installed injector's
+/// retry budget, retrying Unavailable and IOError. With no injector it runs
+/// once, keyed by an empty string.
+template <typename OnceFn>
+auto WithIoRetries(const std::string& path, OnceFn once) {
+  const IoFaultInjector* injector = ActiveIoFaultInjector();
+  const std::string key = injector == nullptr ? "" : IoFaultKey(path);
+  return RetryWithBackoff(
+      injector == nullptr ? 1 : injector->config().retry.max_attempts,
+      [&](int attempt) { return once(path, key, injector, attempt); },
+      [](StatusCode code) {
+        return code == StatusCode::kUnavailable ||
+               code == StatusCode::kIOError;
+      },
+      [&](int attempt) { injector->AccountRetryBackoff(key, attempt); });
 }
 
 }  // namespace
 
 Result<std::string> ReadFileBytes(const std::string& path) {
-  const IoFaultInjector* injector = ActiveIoFaultInjector();
-  const int budget =
-      injector == nullptr ? 1 : std::max(1, injector->config().max_attempts);
-  const std::string key = IoFaultKey(path);
-  Result<std::string> last = Status::Internal("read loop did not run");
-  for (int attempt = 0; attempt < budget; ++attempt) {
-    last = ReadOnce(path, key, injector, attempt);
-    if (last.ok() || !Retryable(last.status())) return last;
-    if (attempt + 1 < budget) injector->AccountRetryBackoff(key, attempt);
-  }
-  return last;
+  return WithIoRetries(path, ReadOnce);
+}
+
+Result<int> OpenFileForReading(const std::string& path) {
+  return WithIoRetries(path, OpenOnce);
 }
 
 Status WriteFileBytes(const std::string& path, const std::string& bytes) {
-  const IoFaultInjector* injector = ActiveIoFaultInjector();
-  const int budget =
-      injector == nullptr ? 1 : std::max(1, injector->config().max_attempts);
-  const std::string key = IoFaultKey(path);
-  Status last = Status::Internal("write loop did not run");
-  for (int attempt = 0; attempt < budget; ++attempt) {
-    last = WriteOnce(path, bytes, key, injector, attempt);
-    if (last.ok() || !Retryable(last)) return last;
-    if (attempt + 1 < budget) injector->AccountRetryBackoff(key, attempt);
-  }
-  return last;
+  return WithIoRetries(
+      path, [&](const std::string& p, const std::string& key,
+                const IoFaultInjector* injector, int attempt) {
+        return WriteOnce(p, bytes, key, injector, attempt);
+      });
 }
 
 }  // namespace crossmodal

@@ -1,7 +1,7 @@
 // Whole-file byte IO routed through the IO fault injector.
 //
 // Every artifact reader/writer in io/ (TSV lines, the binary columnar
-// store) funnels through these two helpers, so installing a
+// store) funnels through these helpers, so installing a
 // ScopedIoFaultInjection (io/io_faults.h) reaches every artifact path at
 // once. When an injector is active, transient verdicts (injected open
 // failures, torn writes) are retried with the injector's deterministic
@@ -18,6 +18,11 @@ namespace crossmodal {
 
 /// Reads the whole file into a byte string.
 [[nodiscard]] Result<std::string> ReadFileBytes(const std::string& path);
+
+/// Opens `path` read-only and returns its file descriptor, which the caller
+/// must close. Under an active injector each open attempt first takes the
+/// same read verdict ReadFileBytes would, with the same retries.
+[[nodiscard]] Result<int> OpenFileForReading(const std::string& path);
 
 /// Writes `bytes` to `path`, replacing any existing file. Under an active
 /// injector a torn attempt leaves a partial file on disk and is retried

@@ -1,7 +1,5 @@
 #include "io/io_faults.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -13,13 +11,6 @@ namespace {
 /// hot path is a lock-free load on every file operation; installation is
 /// rare and guarded by compare-exchange.
 std::atomic<const IoFaultInjector*> g_active_injector{nullptr};
-
-/// Deterministic per-attempt verdict stream for one (op seed, key, attempt).
-/// Attempt is offset so attempt 0 is not the raw key stream.
-Rng KeyAttemptRng(uint64_t op_seed, const std::string& key, int attempt) {
-  const uint64_t key_seed = DeriveSeed(op_seed, key.c_str());
-  return Rng(DeriveSeed(key_seed, static_cast<uint64_t>(attempt) + 1));
-}
 
 }  // namespace
 
@@ -38,8 +29,10 @@ Status IoFaultInjector::CheckOpen(char op, const std::string& key,
     write_attempts_.fetch_add(1, std::memory_order_relaxed);
   }
   if (config_.open_fail_rate <= 0.0) return Status::OK();
-  Rng rng = KeyAttemptRng(DeriveSeed(open_seed_, static_cast<uint64_t>(op)),
-                          key, attempt);
+  Rng rng = AttemptRng(
+      DeriveSeed(DeriveSeed(open_seed_, static_cast<uint64_t>(op)),
+                 key.c_str()),
+      attempt);
   if (rng.Bernoulli(config_.open_fail_rate)) {
     open_failures_.fetch_add(1, std::memory_order_relaxed);
     return Status::Unavailable("injected transient open failure: " + key);
@@ -50,7 +43,7 @@ Status IoFaultInjector::CheckOpen(char op, const std::string& key,
 bool IoFaultInjector::ShouldTearWrite(const std::string& key,
                                       int attempt) const {
   if (config_.torn_write_rate <= 0.0) return false;
-  Rng rng = KeyAttemptRng(torn_seed_, key, attempt);
+  Rng rng = AttemptRng(DeriveSeed(torn_seed_, key.c_str()), attempt);
   const bool torn = rng.Bernoulli(config_.torn_write_rate);
   if (torn) torn_writes_.fetch_add(1, std::memory_order_relaxed);
   return torn;
@@ -76,14 +69,9 @@ size_t IoFaultInjector::CorruptIndex(const std::string& key, size_t n) const {
 
 uint64_t IoFaultInjector::AccountRetryBackoff(const std::string& key,
                                               int attempt) const {
-  // Same capped-exponential-with-jitter shape as RetryingService, keyed by
-  // the IO retry stream.
-  const uint64_t uncapped =
-      config_.base_backoff_us * (1ULL << std::min(attempt, 32));
-  const uint64_t capped = std::min(uncapped, config_.max_backoff_us);
-  Rng rng(DeriveSeed(DeriveSeed(retry_seed_, key.c_str()),
-                     static_cast<uint64_t>(attempt) + 1));
-  const uint64_t backoff = capped / 2 + rng.UniformInt(capped / 2 + 1);
+  const uint64_t backoff =
+      BackoffUs(config_.retry, attempt,
+                AttemptRng(DeriveSeed(retry_seed_, key.c_str()), attempt));
   retries_.fetch_add(1, std::memory_order_relaxed);
   backoff_us_.fetch_add(backoff, std::memory_order_relaxed);
   return backoff;

@@ -28,6 +28,7 @@
 #include <string>
 
 #include "util/result.h"
+#include "util/retry.h"
 
 namespace crossmodal {
 
@@ -43,12 +44,9 @@ struct IoFaultConfig {
   /// P(a *successful* write silently flips one deterministic byte and still
   /// reports OK — only a content checksum can catch it downstream).
   double corrupt_rate = 0.0;
-  /// Retry budget per logical operation (1 = no retries).
-  int max_attempts = 3;
-  /// Backoff before retry k is min(base << k, max) scaled by deterministic
-  /// jitter in [0.5, 1.0]; accounted in the stats, never slept.
-  uint64_t base_backoff_us = 1000;
-  uint64_t max_backoff_us = 50000;
+  /// Retry budget and backoff per logical operation; the backoff is
+  /// accounted in the stats, never slept.
+  RetryPolicy retry;
   /// Root of the deterministic fault schedule.
   uint64_t seed = 0xF11E;
 };

@@ -12,6 +12,19 @@ namespace crossmodal {
 
 namespace {
 
+/// Candidate heuristics trained per committee round.
+constexpr int kCandidatesPerRound = 24;
+/// Recall floor on the dev set.
+constexpr double kMinRecall = 0.02;
+/// A candidate must vote on at least this fraction of points the committee
+/// currently abstains on (diversity pressure).
+constexpr double kMinNewCoverage = 0.01;
+/// Abstain band: a heuristic abstains when its score is within this margin
+/// of its decision threshold (Snuba's beta parameter).
+constexpr double kAbstainMargin = 0.15;
+/// Seed of the candidate-sampling stream.
+constexpr uint64_t kSeed = 0x57BA;
+
 /// One scalar input of a tiny heuristic model: a category indicator or a
 /// standardized numeric feature.
 struct Signal {
@@ -174,7 +187,7 @@ Result<ModelLfResult> ModelLfGenerator::Generate(
   const size_t top = std::min<size_t>(ranked.size(), 40);
 
   ModelLfResult result;
-  Rng rng(options_.seed);
+  Rng rng(kSeed);
   std::vector<char> committee_covers(rows.size(), 0);
   std::vector<Heuristic> committee;
   size_t next_single = 0;  // round-robin cursor over the ranked singles
@@ -183,9 +196,9 @@ Result<ModelLfResult> ModelLfGenerator::Generate(
     Heuristic best;
     double best_f1 = -1.0;
     double best_precision = 0.0, best_recall = 0.0;
-    for (int c = 0; c < options_.candidates_per_round; ++c) {
+    for (int c = 0; c < kCandidatesPerRound; ++c) {
       Heuristic h;
-      h.margin = options_.abstain_margin;
+      h.margin = kAbstainMargin;
       if (c % 2 == 0 && next_single < ranked.size()) {
         // Ranked singles, in lift order.
         h.signals.push_back(pool[ranked[next_single++].second]);
@@ -217,8 +230,7 @@ Result<ModelLfResult> ModelLfGenerator::Generate(
       const double coverage_gain =
           static_cast<double>(new_cover) / static_cast<double>(rows.size());
       if (precision < options_.min_precision ||
-          recall < options_.min_recall ||
-          coverage_gain < options_.min_new_coverage) {
+          recall < kMinRecall || coverage_gain < kMinNewCoverage) {
         continue;
       }
       const double f1 = 2.0 * precision * recall / (precision + recall);

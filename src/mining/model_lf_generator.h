@@ -23,22 +23,12 @@ namespace crossmodal {
 
 /// Snuba-style generation parameters.
 struct ModelLfOptions {
-  /// Candidate heuristics trained per committee round.
-  int candidates_per_round = 24;
   /// Committee rounds (each adds at most one LF).
   int max_lfs = 20;
-  /// Acceptance floors on the dev set.
+  /// Precision floor on the dev set.
   double min_precision = 0.6;
-  double min_recall = 0.02;
-  /// A candidate must vote on at least this fraction of points the
-  /// committee currently abstains on (diversity pressure).
-  double min_new_coverage = 0.01;
-  /// Abstain band: the heuristic abstains when its score is within this
-  /// margin of its decision threshold (Snuba's beta parameter).
-  double abstain_margin = 0.15;
   /// Feature ids the generator may use (empty = all categorical/numeric).
   std::vector<FeatureId> allowed_features;
-  uint64_t seed = 0x57BA;
 };
 
 /// Outcome of a generation run.

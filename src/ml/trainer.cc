@@ -139,8 +139,9 @@ Result<TuneResult> GridSearch(const Dataset& train, const Dataset& val,
   result.best_spec = base;
   result.best_val_auprc = -1.0;
 
+  // Candidate hidden stacks (MLP only; each entry is a full stack).
   const std::vector<std::vector<int>> stacks =
-      base.kind == ModelKind::kMlp ? options.hidden_stacks
+      base.kind == ModelKind::kMlp ? std::vector<std::vector<int>>{{16}, {32}}
                                    : std::vector<std::vector<int>>{{}};
   for (double lr : options.learning_rates) {
     for (double l2 : options.l2s) {

@@ -37,8 +37,6 @@ struct ModelSpec {
 struct TunerOptions {
   std::vector<double> learning_rates = {0.01, 0.03, 0.1};
   std::vector<double> l2s = {1e-6, 1e-4};
-  /// Candidate hidden widths (MLP only; each entry is a full stack).
-  std::vector<std::vector<int>> hidden_stacks = {{16}, {32}};
 };
 
 /// Result of a tuning run.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <string_view>
 #include <utility>
 
 #include "util/parse_number.h"
@@ -11,12 +12,47 @@ namespace crossmodal {
 
 namespace {
 
-/// Deterministic per-attempt fault stream: chains the service-level seed
-/// through the entity id and the attempt index (offset so attempt 0 is not
-/// the raw entity stream).
-Rng AttemptRng(uint64_t service_seed, EntityId entity, int attempt) {
-  const uint64_t entity_seed = DeriveSeed(service_seed, entity);
-  return Rng(DeriveSeed(entity_seed, static_cast<uint64_t>(attempt) + 1));
+/// The fault verdict of one attempt, shared by the service decorator and the
+/// serving hook: a permanent outage when `down`, else a timeout and then a
+/// transient failure drawn from the (entity, attempt) stream of
+/// `stream_seed`, else OK. Counts the attempt and any fault; `subject` names
+/// the failing target in the error.
+Status DrawFault(const ServiceFaultConfig& config, bool down,
+                 uint64_t stream_seed, EntityId entity, int attempt,
+                 ServiceHealthCounters* counters, std::string_view subject) {
+  if (counters) counters->Add(counters->attempts);
+  if (down) {
+    if (counters) counters->Add(counters->permanent_failures);
+    return Status::FailedPrecondition(std::string(subject) +
+                                      " is permanently down");
+  }
+  Rng rng = AttemptRng(DeriveSeed(stream_seed, entity), attempt);
+  if (config.timeout_rate > 0.0 && rng.Bernoulli(config.timeout_rate)) {
+    if (counters) counters->Add(counters->timeouts);
+    return Status::DeadlineExceeded(std::string(subject) + " timed out");
+  }
+  if (config.transient_rate > 0.0 && rng.Bernoulli(config.transient_rate)) {
+    if (counters) counters->Add(counters->transient_failures);
+    return Status::Unavailable(std::string(subject) + " failed transiently");
+  }
+  return Status::OK();
+}
+
+/// Counts one retry and the backoff accounted before it.
+void CountRetry(uint64_t backoff_us, ServiceHealthCounters* counters) {
+  if (counters == nullptr) return;
+  counters->Add(counters->retries);
+  counters->Add(counters->backoff_us, backoff_us);
+}
+
+/// Counts one attempt that got through, with its simulated latency.
+void CountSuccess(const ServiceFaultConfig& config,
+                  ServiceHealthCounters* counters) {
+  if (counters == nullptr) return;
+  counters->Add(counters->successes);
+  if (config.latency_us > 0) {
+    counters->Add(counters->simulated_latency_us, config.latency_us);
+  }
 }
 
 }  // namespace
@@ -72,27 +108,10 @@ bool FaultPlan::IsScheduleDeterministic() const {
   });
 }
 
-const FaultPlan::Entry* FaultPlan::ServingEntry() const {
+const FaultPlan::Entry* FaultPlan::ExactEntry(const char* service) const {
   const Entry* found = nullptr;
   for (const Entry& entry : entries) {
-    if (entry.service == kServingFaultService) found = &entry;
-  }
-  return found;
-}
-
-FaultPlan FaultPlan::WithoutServing() const {
-  FaultPlan plan;
-  plan.seed = seed;
-  for (const Entry& entry : entries) {
-    if (entry.service != kServingFaultService) plan.entries.push_back(entry);
-  }
-  return plan;
-}
-
-const FaultPlan::Entry* FaultPlan::IoEntry() const {
-  const Entry* found = nullptr;
-  for (const Entry& entry : entries) {
-    if (entry.service == kIoFaultService) found = &entry;
+    if (entry.service == service) found = &entry;
   }
   return found;
 }
@@ -111,14 +130,12 @@ FaultPlan FaultPlan::WithoutReserved() const {
 
 IoFaultConfig IoFaultConfigFromPlan(const FaultPlan& plan) {
   IoFaultConfig config;
-  const FaultPlan::Entry* entry = plan.IoEntry();
+  const FaultPlan::Entry* entry = plan.ExactEntry(kIoFaultService);
   if (entry == nullptr) return config;
   config.open_fail_rate = entry->fault.transient_rate;
   config.torn_write_rate = entry->fault.torn_write_rate;
   config.corrupt_rate = entry->fault.corrupt_rate;
-  config.max_attempts = entry->retry.max_attempts;
-  config.base_backoff_us = entry->retry.base_backoff_us;
-  config.max_backoff_us = entry->retry.max_backoff_us;
+  config.retry = entry->retry;
   config.seed = DeriveSeed(plan.seed, kIoFaultService);
   return config;
 }
@@ -247,6 +264,7 @@ FaultInjectingService::FaultInjectingService(FeatureServicePtr inner,
     : inner_(std::move(inner)),
       config_(config),
       service_seed_(DeriveSeed(fault_seed, inner_->name().c_str())),
+      subject_("service '" + inner_->name() + "'"),
       counters_(counters) {}
 
 FeatureValue FaultInjectingService::Apply(const Entity& entity) const {
@@ -258,8 +276,6 @@ FeatureValue FaultInjectingService::Apply(const Entity& entity) const {
 
 Result<FeatureValue> FaultInjectingService::Call(const Entity& entity,
                                                  int attempt) const {
-  if (counters_) counters_->Add(counters_->attempts);
-
   // Permanent outage. down_after == 0 is a hard outage (order-independent);
   // a mid-range threshold counts real arrivals, first attempts only.
   bool down = config_.down_after == 0;
@@ -269,30 +285,10 @@ Result<FeatureValue> FaultInjectingService::Call(const Entity& entity,
                      : arrivals_.load(std::memory_order_relaxed) - 1;
     down = arrival >= config_.down_after;
   }
-  if (down) {
-    if (counters_) counters_->Add(counters_->permanent_failures);
-    return Status::FailedPrecondition("service '" + name() +
-                                      "' is permanently down");
-  }
-
-  Rng rng = AttemptRng(service_seed_, entity.id, attempt);
-  if (config_.timeout_rate > 0.0 && rng.Bernoulli(config_.timeout_rate)) {
-    if (counters_) counters_->Add(counters_->timeouts);
-    return Status::DeadlineExceeded("service '" + name() + "' timed out");
-  }
-  if (config_.transient_rate > 0.0 && rng.Bernoulli(config_.transient_rate)) {
-    if (counters_) counters_->Add(counters_->transient_failures);
-    return Status::Unavailable("service '" + name() +
-                               "' failed transiently");
-  }
-
-  CM_ASSIGN_OR_RETURN(FeatureValue value, inner_->Call(entity, attempt));
-  if (counters_) {
-    counters_->Add(counters_->successes);
-    if (config_.latency_us > 0) {
-      counters_->Add(counters_->simulated_latency_us, config_.latency_us);
-    }
-  }
+  CM_RETURN_IF_ERROR(DrawFault(config_, down, service_seed_, entity.id,
+                               attempt, counters_, subject_));
+  Result<FeatureValue> value = inner_->Call(entity, attempt);
+  if (value.ok()) CountSuccess(config_, counters_);
   return value;
 }
 
@@ -316,32 +312,18 @@ FeatureValue RetryingService::Apply(const Entity& entity) const {
 
 Result<FeatureValue> RetryingService::Call(const Entity& entity,
                                            int attempt) const {
-  const int budget = std::max(1, policy_.max_attempts);
   // Nested retry layers (attempt > 0) get disjoint inner attempt ranges so
   // their fault draws stay independent.
-  const int base = attempt * budget;
-  Status last = Status::Internal("retry loop did not run");
-  for (int k = 0; k < budget; ++k) {
-    Result<FeatureValue> v = inner_->Call(entity, base + k);
-    if (v.ok()) return v;
-    last = v.status();
-    const StatusCode code = last.code();
-    const bool retryable = code == StatusCode::kUnavailable ||
-                           code == StatusCode::kDeadlineExceeded;
-    if (!retryable || k + 1 >= budget) break;
-    // Capped exponential backoff with deterministic jitter in [0.5, 1.0]x.
-    const uint64_t uncapped =
-        policy_.base_backoff_us * (1ULL << std::min(k, 32));
-    const uint64_t capped = std::min(uncapped, policy_.max_backoff_us);
-    Rng rng(DeriveSeed(DeriveSeed(retry_seed_, entity.id),
-                       static_cast<uint64_t>(base + k) + 1));
-    const uint64_t backoff = capped / 2 + rng.UniformInt(capped / 2 + 1);
-    if (counters_) {
-      counters_->Add(counters_->retries);
-      counters_->Add(counters_->backoff_us, backoff);
-    }
-  }
-  return last;
+  const int base = attempt * std::max(1, policy_.max_attempts);
+  return RetryWithBackoff(
+      policy_.max_attempts,
+      [&](int k) { return inner_->Call(entity, base + k); }, IsTransientFault,
+      [&](int k) {
+        CountRetry(BackoffUs(policy_, k,
+                             AttemptRng(DeriveSeed(retry_seed_, entity.id),
+                                        base + k)),
+                   counters_);
+      });
 }
 
 // ---- ServingFaultHook ------------------------------------------------------
@@ -359,53 +341,28 @@ ServingFaultHook::ServingFaultHook(const FaultPlan::Entry& entry,
 
 ServingFaultHook ServingFaultHook::FromPlan(const FaultPlan& plan,
                                             ServiceHealthCounters* counters) {
-  const FaultPlan::Entry* entry = plan.ServingEntry();
+  const FaultPlan::Entry* entry = plan.ExactEntry(kServingFaultService);
   if (entry == nullptr) return ServingFaultHook();
   return ServingFaultHook(*entry, plan.seed, counters);
 }
 
 Status ServingFaultHook::Probe(EntityId entity, int attempt) const {
   if (!active_) return Status::OK();
-  if (counters_) counters_->Add(counters_->attempts);
   // Mid-range down_after is order-sensitive and rejected by the serving
   // tier at construction, so only the hard outage is modeled here.
-  if (config_.down_after == 0) {
-    if (counters_) counters_->Add(counters_->permanent_failures);
-    return Status::FailedPrecondition("serving tier is permanently down");
-  }
-  Rng rng = AttemptRng(serving_seed_, entity, attempt);
-  if (config_.timeout_rate > 0.0 && rng.Bernoulli(config_.timeout_rate)) {
-    if (counters_) counters_->Add(counters_->timeouts);
-    return Status::DeadlineExceeded("serving request timed out");
-  }
-  if (config_.transient_rate > 0.0 && rng.Bernoulli(config_.transient_rate)) {
-    if (counters_) counters_->Add(counters_->transient_failures);
-    return Status::Unavailable("serving request failed transiently");
-  }
-  if (counters_) {
-    counters_->Add(counters_->successes);
-    if (config_.latency_us > 0) {
-      counters_->Add(counters_->simulated_latency_us, config_.latency_us);
-    }
-  }
+  CM_RETURN_IF_ERROR(DrawFault(config_, config_.down_after == 0,
+                               serving_seed_, entity, attempt, counters_,
+                               "serving request"));
+  CountSuccess(config_, counters_);
   return Status::OK();
 }
 
 uint64_t ServingFaultHook::AccountRetryBackoff(EntityId entity,
                                                int attempt) const {
   if (!active_) return 0;
-  // Same capped-exponential-with-jitter shape as RetryingService, keyed by
-  // the serving retry stream.
-  const uint64_t uncapped =
-      retry_.base_backoff_us * (1ULL << std::min(attempt, 32));
-  const uint64_t capped = std::min(uncapped, retry_.max_backoff_us);
-  Rng rng(DeriveSeed(DeriveSeed(retry_seed_, entity),
-                     static_cast<uint64_t>(attempt) + 1));
-  const uint64_t backoff = capped / 2 + rng.UniformInt(capped / 2 + 1);
-  if (counters_) {
-    counters_->Add(counters_->retries);
-    counters_->Add(counters_->backoff_us, backoff);
-  }
+  const uint64_t backoff = BackoffUs(
+      retry_, attempt, AttemptRng(DeriveSeed(retry_seed_, entity), attempt));
+  CountRetry(backoff, counters_);
   return backoff;
 }
 

@@ -41,6 +41,7 @@
 #include "io/io_faults.h"
 #include "resources/feature_service.h"
 #include "util/result.h"
+#include "util/retry.h"
 
 namespace crossmodal {
 
@@ -69,16 +70,12 @@ struct ServiceFaultConfig {
   double corrupt_rate = 0.0;
 };
 
-/// Retry/backoff policy layered over a faulty service.
-struct RetryPolicy {
-  /// Total tries per logical request (1 = no retries).
-  int max_attempts = 3;
-  /// Backoff before retry k is min(base << k, max) scaled by a
-  /// deterministic jitter in [0.5, 1.0]; accumulated in the health stats,
-  /// never actually slept.
-  uint64_t base_backoff_us = 1000;
-  uint64_t max_backoff_us = 50000;
-};
+/// The codes services and the serving tier retry: transient failures and
+/// timeouts. A permanent outage (FailedPrecondition) is not retried.
+inline bool IsTransientFault(StatusCode code) {
+  return code == StatusCode::kUnavailable ||
+         code == StatusCode::kDeadlineExceeded;
+}
 
 /// Point-in-time health snapshot of one service (see ServiceHealthCounters
 /// for field semantics).
@@ -207,18 +204,10 @@ struct FaultPlan {
   /// generation / the determinism audit.
   bool IsScheduleDeterministic() const;
 
-  /// Last entry whose service is exactly kServingFaultService, or nullptr.
-  /// (The "*" wildcard does not reach the serving tier.)
-  const Entry* ServingEntry() const;
-
-  /// The plan minus every serving-tier entry: what the feature-service
-  /// registry should install (it would reject the reserved name as an
-  /// unknown service).
-  FaultPlan WithoutServing() const;
-
-  /// Last entry whose service is exactly kIoFaultService, or nullptr.
-  /// (The "*" wildcard does not reach the IO layer.)
-  const Entry* IoEntry() const;
+  /// Last entry whose service is exactly `service`, or nullptr. This is how
+  /// the reserved targets (kServingFaultService, kIoFaultService) are
+  /// looked up: the "*" wildcard does not reach them.
+  const Entry* ExactEntry(const char* service) const;
 
   /// The plan minus every reserved-target entry (serving + io): what the
   /// feature-service registry should install.
@@ -260,6 +249,7 @@ class FaultInjectingService : public FeatureService {
   FeatureServicePtr inner_;
   ServiceFaultConfig config_;
   uint64_t service_seed_;  // DeriveSeed(fault_seed, service name)
+  std::string subject_;    // "service '<name>'", for fault errors
   ServiceHealthCounters* counters_;
   /// Arrival counter for mid-range down_after (order-sensitive by design).
   mutable std::atomic<uint64_t> arrivals_{0};
@@ -306,7 +296,7 @@ class ServingFaultHook {
   ServingFaultHook() = default;
 
   /// Hook configured from a plan's serving entry (see
-  /// FaultPlan::ServingEntry). `counters` may be null; when provided it must
+  /// kServingFaultService). `counters` may be null; when provided it must
   /// outlive the hook and records attempts/faults/retries/backoff.
   ServingFaultHook(const FaultPlan::Entry& entry, uint64_t plan_seed,
                    ServiceHealthCounters* counters);

@@ -10,6 +10,7 @@
 
 #include "util/check.h"
 #include "util/mutex.h"
+#include "util/retry.h"
 #include "util/thread_annotations.h"
 
 namespace crossmodal {
@@ -23,11 +24,6 @@ struct Request {
   FeatureVector row;
   std::promise<Result<ServedScore>> promise;
 };
-
-bool Retryable(const Status& status) {
-  return status.code() == StatusCode::kUnavailable ||
-         status.code() == StatusCode::kDeadlineExceeded;
-}
 
 }  // namespace
 
@@ -209,15 +205,11 @@ class ServingShard {
   /// attempts is accounted, never slept. Returns the final verdict.
   Status ProbeWithRetries(EntityId entity) const {
     if (hook_ == nullptr || !hook_->active()) return Status::OK();
-    const int budget = std::max(1, hook_->retry().max_attempts);
-    Status last = Status::OK();
-    for (int attempt = 0; attempt < budget; ++attempt) {
-      last = hook_->Probe(entity, attempt);
-      if (last.ok()) return last;
-      if (!Retryable(last) || attempt + 1 >= budget) break;
-      hook_->AccountRetryBackoff(entity, attempt);
-    }
-    return last;
+    return RetryWithBackoff(
+        hook_->retry().max_attempts,
+        [&](int attempt) { return hook_->Probe(entity, attempt); },
+        IsTransientFault,
+        [&](int attempt) { hook_->AccountRetryBackoff(entity, attempt); });
   }
 
   const size_t index_;
@@ -260,7 +252,8 @@ Result<ShardedServer> ShardedServer::Create(
       options.shed_watermark > options.queue_capacity) {
     options.shed_watermark = options.queue_capacity;
   }
-  const FaultPlan::Entry* serving_entry = fault_plan.ServingEntry();
+  const FaultPlan::Entry* serving_entry =
+      fault_plan.ExactEntry(kServingFaultService);
   if (serving_entry != nullptr) {
     const uint64_t down_after = serving_entry->fault.down_after;
     if (down_after != 0 && down_after != ServiceFaultConfig::kNeverDown) {

@@ -18,23 +18,4 @@ size_t ShardRouter::ShardOf(EntityId entity) const {
   return static_cast<size_t>(DeriveSeed(route_seed_, entity) % num_shards_);
 }
 
-Result<RebalanceReport> ShardRouter::Rebalance(
-    size_t new_num_shards, const std::vector<EntityId>& sample) {
-  if (new_num_shards == 0) {
-    return Status::InvalidArgument("shard router needs at least one shard");
-  }
-  RebalanceReport report;
-  report.old_num_shards = num_shards_;
-  report.new_num_shards = new_num_shards;
-  report.sampled = sample.size();
-  for (EntityId entity : sample) {
-    const size_t before = ShardOf(entity);
-    const size_t after =
-        static_cast<size_t>(DeriveSeed(route_seed_, entity) % new_num_shards);
-    if (before != after) ++report.moved;
-  }
-  num_shards_ = new_num_shards;
-  return report;
-}
-
 }  // namespace crossmodal

@@ -4,31 +4,19 @@
 // The paper's production deployment (§2.3) spreads user-facing traffic over
 // many model replicas; which replica a user lands on must be stable so
 // per-shard caches and feature stores stay warm. Routing here is a pure
-// function of (route seed, entity id) via the repo's DeriveSeed chain —
-// re-routing happens only through an explicit Rebalance() call that returns
-// a report of how many sampled entities moved, never implicitly.
+// function of (route seed, entity id) via the repo's DeriveSeed chain, over
+// a shard count fixed at creation, so nothing ever re-routes a live tier.
 
 #ifndef CROSSMODAL_SERVING_SHARD_ROUTER_H_
 #define CROSSMODAL_SERVING_SHARD_ROUTER_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "features/feature_vector.h"
 #include "util/result.h"
 
 namespace crossmodal {
-
-/// Outcome of an explicit rebalance: how much of the keyspace moved.
-struct RebalanceReport {
-  size_t old_num_shards = 0;
-  size_t new_num_shards = 0;
-  /// Entities sampled to estimate movement.
-  size_t sampled = 0;
-  /// Sampled entities whose shard assignment changed.
-  size_t moved = 0;
-};
 
 /// Pure-function entity router over a fixed shard count.
 class ShardRouter {
@@ -40,12 +28,6 @@ class ShardRouter {
   /// Shard owning `entity` — a pure function of (route seed, entity id);
   /// two routers with equal seed and shard count always agree.
   size_t ShardOf(EntityId entity) const;
-
-  /// Re-routes to `new_num_shards`, estimating keyspace movement over the
-  /// `sample` entity ids. The router's assignment changes ONLY through this
-  /// call (or never, if it is never called).
-  [[nodiscard]] Result<RebalanceReport> Rebalance(
-      size_t new_num_shards, const std::vector<EntityId>& sample);
 
   size_t num_shards() const { return num_shards_; }
   uint64_t route_seed() const { return route_seed_; }

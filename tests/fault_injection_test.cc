@@ -9,13 +9,20 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "audit/determinism.h"
 #include "core/pipeline.h"
 #include "dataflow/feature_generation.h"
+#include "io/columnar.h"
+#include "io/file_io.h"
 #include "resources/registry.h"
 #include "serving/batch_server.h"
 #include "synth/corpus_generator.h"
@@ -278,6 +285,26 @@ TEST(RetryingServiceTest, BackoffTotalsAreDeterministic) {
   EXPECT_GT(a.backoff_us, 0u);
 }
 
+TEST(RetryBackoffTest, PlanBackoffSaturatesInsteadOfWrapping) {
+  // backoff_us = 2^40: before the shared draw saturated, retry 24 computed
+  // 2^40 << 24 = 2^64, which wrapped to a backoff of 0.
+  auto plan = FaultPlan::Parse(
+      "serving:backoff_us=1099511627776,attempts=26;"
+      "io:backoff_us=1099511627776,attempts=26");
+  ASSERT_TRUE(plan.ok());
+  const ServingFaultHook hook = ServingFaultHook::FromPlan(*plan, nullptr);
+  const IoFaultInjector io(IoFaultConfigFromPlan(*plan));
+  for (int retry = 0; retry < 25; ++retry) {
+    // Every retry backs off the capped 25-50 ms.
+    const uint64_t serving = hook.AccountRetryBackoff(7, retry);
+    EXPECT_GE(serving, 25000u) << "retry " << retry;
+    EXPECT_LE(serving, 50000u) << "retry " << retry;
+    const uint64_t artifact = io.AccountRetryBackoff("store.cmc", retry);
+    EXPECT_GE(artifact, 25000u) << "retry " << retry;
+    EXPECT_LE(artifact, 50000u) << "retry " << retry;
+  }
+}
+
 // ---- Registry integration --------------------------------------------------
 
 class FaultyRegistryTest : public ::testing::Test {
@@ -504,24 +531,16 @@ TEST(ServingFaultPlanTest, ServingEntryIsExactMatchOnly) {
   // their meaning of "every feature service".
   auto wildcard = FaultPlan::Parse("*:transient=0.5");
   ASSERT_TRUE(wildcard.ok());
-  EXPECT_EQ(wildcard->ServingEntry(), nullptr);
+  EXPECT_EQ(wildcard->ExactEntry(kServingFaultService), nullptr);
   EXPECT_FALSE(ServingFaultHook::FromPlan(*wildcard, nullptr).active());
 
   auto plan = FaultPlan::Parse(
       "seed=5; *:transient=0.1; serving:transient=0.2,attempts=4");
   ASSERT_TRUE(plan.ok());
-  const FaultPlan::Entry* entry = plan->ServingEntry();
+  const FaultPlan::Entry* entry = plan->ExactEntry(kServingFaultService);
   ASSERT_NE(entry, nullptr);
   EXPECT_DOUBLE_EQ(entry->fault.transient_rate, 0.2);
   EXPECT_EQ(entry->retry.max_attempts, 4);
-
-  // WithoutServing() strips exactly the serving entries and keeps the seed,
-  // so the result is installable into the registry.
-  const FaultPlan registry_plan = plan->WithoutServing();
-  EXPECT_EQ(registry_plan.seed, 5u);
-  ASSERT_EQ(registry_plan.entries.size(), 1u);
-  EXPECT_EQ(registry_plan.entries[0].service, "*");
-  EXPECT_EQ(registry_plan.ServingEntry(), nullptr);
 }
 
 TEST(ServingFaultHookTest, VerdictsArePureFunctionOfSeedEntityAttempt) {
@@ -682,13 +701,13 @@ TEST(ShardedServingFaultTest, MidRangeDownAfterIsRejectedAtCreate) {
 TEST(IoFaultPlanTest, IoEntryIsExactMatchOnly) {
   auto wildcard = FaultPlan::Parse("*:transient=0.5");
   ASSERT_TRUE(wildcard.ok());
-  EXPECT_EQ(wildcard->IoEntry(), nullptr);
+  EXPECT_EQ(wildcard->ExactEntry(kIoFaultService), nullptr);
 
   auto plan = FaultPlan::Parse(
       "seed=9; *:transient=0.1; io:transient=0.2,torn=0.3,corrupt=0.05,"
       "attempts=6,backoff_us=10,max_backoff_us=100");
   ASSERT_TRUE(plan.ok());
-  const FaultPlan::Entry* entry = plan->IoEntry();
+  const FaultPlan::Entry* entry = plan->ExactEntry(kIoFaultService);
   ASSERT_NE(entry, nullptr);
   EXPECT_DOUBLE_EQ(entry->fault.transient_rate, 0.2);
   EXPECT_DOUBLE_EQ(entry->fault.torn_write_rate, 0.3);
@@ -698,8 +717,9 @@ TEST(IoFaultPlanTest, IoEntryIsExactMatchOnly) {
 TEST(IoFaultPlanTest, LastIoEntryWinsAndRatesAreValidated) {
   auto plan = FaultPlan::Parse("io:torn=0.1; io:torn=0.9");
   ASSERT_TRUE(plan.ok());
-  ASSERT_NE(plan->IoEntry(), nullptr);
-  EXPECT_DOUBLE_EQ(plan->IoEntry()->fault.torn_write_rate, 0.9);
+  ASSERT_NE(plan->ExactEntry(kIoFaultService), nullptr);
+  EXPECT_DOUBLE_EQ(plan->ExactEntry(kIoFaultService)->fault.torn_write_rate,
+                   0.9);
 
   EXPECT_FALSE(FaultPlan::Parse("io:torn=1.5").ok());
   EXPECT_FALSE(FaultPlan::Parse("io:corrupt=-0.1").ok());
@@ -714,8 +734,8 @@ TEST(IoFaultPlanTest, WithoutReservedStripsServingAndIo) {
   EXPECT_EQ(registry_plan.seed, 5u);
   ASSERT_EQ(registry_plan.entries.size(), 1u);
   EXPECT_EQ(registry_plan.entries[0].service, "*");
-  EXPECT_EQ(registry_plan.ServingEntry(), nullptr);
-  EXPECT_EQ(registry_plan.IoEntry(), nullptr);
+  EXPECT_EQ(registry_plan.ExactEntry(kServingFaultService), nullptr);
+  EXPECT_EQ(registry_plan.ExactEntry(kIoFaultService), nullptr);
 }
 
 TEST(IoFaultPlanTest, ConfigFromPlanMapsEveryKnob) {
@@ -727,20 +747,133 @@ TEST(IoFaultPlanTest, ConfigFromPlanMapsEveryKnob) {
   EXPECT_DOUBLE_EQ(config.open_fail_rate, 0.25);
   EXPECT_DOUBLE_EQ(config.torn_write_rate, 0.5);
   EXPECT_DOUBLE_EQ(config.corrupt_rate, 0.125);
-  EXPECT_EQ(config.max_attempts, 7);
-  EXPECT_EQ(config.base_backoff_us, 11u);
-  EXPECT_EQ(config.max_backoff_us, 222u);
+  EXPECT_EQ(config.retry.max_attempts, 7);
+  EXPECT_EQ(config.retry.base_backoff_us, 11u);
+  EXPECT_EQ(config.retry.max_backoff_us, 222u);
   // The injector seed is derived from the plan seed, so io and service
   // fault streams never correlate even under one plan seed.
   EXPECT_EQ(config.seed, DeriveSeed(21, kIoFaultService));
 
-  // No io entry: the defaults come back untouched (callers gate on
-  // IoEntry() before installing anyway).
+  // No io entry: the defaults come back untouched (callers look up the io
+  // entry before installing anyway).
   auto healthy = FaultPlan::Parse("*:transient=0.1");
   ASSERT_TRUE(healthy.ok());
   const IoFaultConfig defaults = IoFaultConfigFromPlan(*healthy);
   EXPECT_DOUBLE_EQ(defaults.open_fail_rate, 0.0);
   EXPECT_DOUBLE_EQ(defaults.torn_write_rate, 0.0);
+}
+
+// ---- Golden fault schedule -------------------------------------------------
+//
+// The determinism tests above compare two runs of the same code. These pin
+// the schedule itself: every counter, verdict and backoff value under fixed
+// plans, as computed before the retry layers were merged. A change to the
+// retry loop, the backoff draw or the fault draw that moves any value fails
+// here.
+
+std::string Describe(const ServiceHealth& h) {
+  return "attempts=" + std::to_string(h.attempts) +
+         " successes=" + std::to_string(h.successes) +
+         " transient=" + std::to_string(h.transient_failures) +
+         " timeouts=" + std::to_string(h.timeouts) +
+         " permanent=" + std::to_string(h.permanent_failures) +
+         " retries=" + std::to_string(h.retries) +
+         " degraded=" + std::to_string(h.degraded_misses) +
+         " backoff_us=" + std::to_string(h.backoff_us) +
+         " latency_us=" + std::to_string(h.simulated_latency_us);
+}
+
+std::string Describe(const IoFaultStats& s) {
+  return "reads=" + std::to_string(s.read_attempts) +
+         " writes=" + std::to_string(s.write_attempts) +
+         " open_failures=" + std::to_string(s.open_failures) +
+         " torn=" + std::to_string(s.torn_writes) +
+         " corrupt=" + std::to_string(s.corruptions) +
+         " retries=" + std::to_string(s.retries) +
+         " backoff_us=" + std::to_string(s.backoff_us);
+}
+
+TEST(GoldenFaultScheduleTest, RetryingServiceHealth) {
+  auto plan = FaultPlan::Parse(
+      "seed=99; *:transient=0.3,timeout=0.1,latency_us=5,attempts=4,"
+      "backoff_us=700,max_backoff_us=9000");
+  ASSERT_TRUE(plan.ok());
+  const FaultPlan::Entry* entry = plan->FindEntry("svc");
+  ASSERT_NE(entry, nullptr);
+  ServiceHealthCounters counters;
+  RetryingService svc(
+      std::make_unique<FaultInjectingService>(
+          std::make_unique<StubService>("svc"), entry->fault, plan->seed,
+          &counters),
+      entry->retry, plan->seed, &counters);
+  for (EntityId id = 1; id <= 300; ++id) (void)svc.Apply(MakeEntity(id));
+  // A nested layer's attempt > 0 shifts the inner attempt range.
+  for (EntityId id = 1; id <= 20; ++id) (void)svc.Call(MakeEntity(id), 1).ok();
+  EXPECT_EQ(Describe(counters.Snapshot("svc")),
+            "attempts=489 successes=313 transient=133 timeouts=43 "
+            "permanent=0 retries=169 degraded=7 backoff_us=140919 "
+            "latency_us=1565");
+}
+
+TEST(GoldenFaultScheduleTest, ServingHookVerdictsAndBackoff) {
+  auto plan = FaultPlan::Parse(
+      "seed=1234; serving:transient=0.4,timeout=0.2,attempts=3");
+  ASSERT_TRUE(plan.ok());
+  ServiceHealthCounters counters;
+  const ServingFaultHook hook = ServingFaultHook::FromPlan(*plan, &counters);
+  std::string verdicts;
+  std::vector<uint64_t> backoffs;
+  for (EntityId entity = 1; entity <= 8; ++entity) {
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      const StatusCode code = hook.Probe(entity, attempt).code();
+      verdicts += code == StatusCode::kOk                 ? 'o'
+                  : code == StatusCode::kUnavailable      ? 'u'
+                  : code == StatusCode::kDeadlineExceeded ? 'd'
+                                                          : '?';
+      backoffs.push_back(hook.AccountRetryBackoff(entity, attempt));
+    }
+  }
+  EXPECT_EQ(verdicts, "uoduoouododduououoouduuu");
+  EXPECT_EQ(backoffs, (std::vector<uint64_t>{
+                          975, 1774, 3524, 741, 1561, 2231, 636, 1699,
+                          2480, 836, 1232, 3220, 598, 1192, 3748, 705,
+                          1846, 3368, 821, 1931, 3159, 971, 1645, 2227}));
+  EXPECT_EQ(Describe(counters.Snapshot("serving")),
+            "attempts=24 successes=9 transient=10 timeouts=5 permanent=0 "
+            "retries=24 degraded=0 backoff_us=43120 latency_us=0");
+}
+
+TEST(GoldenFaultScheduleTest, IoFaultStatsOverScriptedOperations) {
+  auto plan = FaultPlan::Parse("io:transient=0.5,torn=0.3,attempts=4");
+  ASSERT_TRUE(plan.ok());
+  // Fault keys are basenames, so a per-process directory keeps the schedule
+  // while letting concurrent test runs stay apart.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("cm_golden_io_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  auto path = [&](int i) {
+    return (dir / ("golden_" + std::to_string(i) + ".bin")).string();
+  };
+  std::string formats;
+  IoFaultStats stats;
+  {
+    ScopedIoFaultInjection scoped(IoFaultConfigFromPlan(*plan));
+    for (int i = 0; i < 8; ++i) {
+      (void)WriteFileBytes(path(i), std::string(100 + i, 'g'));
+    }
+    for (int i = 0; i < 9; ++i) (void)ReadFileBytes(path(i)).ok();
+    for (int i = 0; i < 9; ++i) {
+      auto format = DetectStoreFormat(path(i));
+      formats += format.ok() ? 't' : 'x';
+    }
+    stats = scoped.stats();
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(formats, "tttxttttx");
+  EXPECT_EQ(Describe(stats), 
+            "reads=38 writes=16 open_failures=26 torn=1 corrupt=0 "
+            "retries=28 backoff_us=35026");
 }
 
 }  // namespace

@@ -156,6 +156,8 @@ TEST(ShardRouterTest, RoutingIsPureFunctionOfSeedAndEntity) {
     if (c->ShardOf(id) != shard) different_seed_diverges = true;
   }
   EXPECT_TRUE(different_seed_diverges);
+  EXPECT_EQ(ShardRouter::Create(0, 1234).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ShardRouterTest, TicketShardMatchesRouter) {
@@ -175,32 +177,6 @@ TEST(ShardRouterTest, TicketShardMatchesRouter) {
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->shard, server->router().ShardOf(id));
   }
-}
-
-TEST(ShardRouterTest, RebalanceIsExplicitAndReported) {
-  auto router = ShardRouter::Create(4, 42);
-  ASSERT_TRUE(router.ok());
-  std::vector<EntityId> sample;
-  Rng rng(7);
-  for (int i = 0; i < 2000; ++i) {
-    sample.push_back(rng.UniformInt(uint64_t{1} << 62));
-  }
-  // Same shard count: nothing moves.
-  auto same = router->Rebalance(4, sample);
-  ASSERT_TRUE(same.ok());
-  EXPECT_EQ(same->moved, 0u);
-  EXPECT_EQ(same->sampled, sample.size());
-  // Growing the tier: assignment changes, and only through this call.
-  auto grown = router->Rebalance(5, sample);
-  ASSERT_TRUE(grown.ok());
-  EXPECT_EQ(grown->old_num_shards, 4u);
-  EXPECT_EQ(grown->new_num_shards, 5u);
-  EXPECT_GT(grown->moved, 0u);
-  EXPECT_LT(grown->moved, grown->sampled);
-  EXPECT_EQ(router->num_shards(), 5u);
-  for (EntityId id : sample) EXPECT_LT(router->ShardOf(id), 5u);
-  auto bad = router->Rebalance(0, sample);
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---- Backpressure + batching accounting ------------------------------------

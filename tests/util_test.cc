@@ -1,6 +1,8 @@
+#include <limits>
 #include <set>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +10,7 @@
 #include "util/parse_number.h"
 #include "util/random.h"
 #include "util/result.h"
+#include "util/retry.h"
 #include "util/status.h"
 #include "util/table_printer.h"
 #include "util/thread_pool.h"
@@ -371,6 +374,87 @@ TEST(TimerTest, MeasuresElapsed) {
   EXPECT_GE(t.ElapsedMillis(), 15.0);
   t.Reset();
   EXPECT_LT(t.ElapsedMillis(), 15.0);
+}
+
+// ---------- Retry -----------------------------------------------------------
+
+bool RetryUnavailable(StatusCode code) {
+  return code == StatusCode::kUnavailable;
+}
+
+TEST(RetryTest, RetriesUntilSuccessAndBacksOffBetweenAttempts) {
+  std::vector<int> attempts, backoffs;
+  const Result<int> out = RetryWithBackoff(
+      5,
+      [&](int k) -> Result<int> {
+        attempts.push_back(k);
+        if (k < 2) return Status::Unavailable("flaky");
+        return 10 * k;
+      },
+      RetryUnavailable, [&](int k) { backoffs.push_back(k); });
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(*out, 20);
+  EXPECT_EQ(attempts, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(backoffs, (std::vector<int>{0, 1}));
+}
+
+TEST(RetryTest, StopsOnNonRetryableCodeAndOnExhaustedBudget) {
+  int calls = 0, backoffs = 0;
+  const Status permanent = RetryWithBackoff(
+      5, [&](int) { ++calls; return Status::FailedPrecondition("down"); },
+      RetryUnavailable, [&](int) { ++backoffs; });
+  EXPECT_EQ(permanent.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(backoffs, 0);
+
+  calls = backoffs = 0;
+  const Status exhausted = RetryWithBackoff(
+      3, [&](int) { ++calls; return Status::Unavailable("flaky"); },
+      RetryUnavailable, [&](int) { ++backoffs; });
+  EXPECT_EQ(exhausted.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(backoffs, 2);  // no backoff after the last attempt
+
+  calls = 0;
+  (void)RetryWithBackoff(
+      0, [&](int) { ++calls; return Status::Unavailable("flaky"); },
+      RetryUnavailable, [&](int) {});
+  EXPECT_EQ(calls, 1);  // a budget below one still tries once
+}
+
+TEST(RetryTest, BackoffIsCappedExponentialWithJitter) {
+  RetryPolicy policy;
+  policy.base_backoff_us = 1000;
+  policy.max_backoff_us = 5000;
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    const uint64_t first = BackoffUs(policy, 0, AttemptRng(seed, 0));
+    EXPECT_GE(first, 500u);
+    EXPECT_LE(first, 1000u);
+    const uint64_t third = BackoffUs(policy, 2, AttemptRng(seed, 2));
+    EXPECT_GE(third, 2000u);
+    EXPECT_LE(third, 4000u);
+    const uint64_t capped = BackoffUs(policy, 20, AttemptRng(seed, 20));
+    EXPECT_GE(capped, 2500u);
+    EXPECT_LE(capped, 5000u);
+    // Same stream, same value.
+    EXPECT_EQ(third, BackoffUs(policy, 2, AttemptRng(seed, 2)));
+  }
+}
+
+TEST(RetryTest, BackoffSaturatesInsteadOfWrapping) {
+  // 2^40 << 24 is 2^64, which wraps to 0 in 64 bits; the draw must treat it
+  // as "above the cap" instead.
+  RetryPolicy policy;
+  policy.base_backoff_us = uint64_t{1} << 40;
+  for (int retry = 0; retry <= 40; ++retry) {
+    const uint64_t backoff = BackoffUs(policy, retry, AttemptRng(7, retry));
+    EXPECT_GE(backoff, policy.max_backoff_us / 2) << "retry " << retry;
+    EXPECT_LE(backoff, policy.max_backoff_us) << "retry " << retry;
+  }
+  // An uncapped policy saturates at the largest value instead of wrapping.
+  policy.max_backoff_us = std::numeric_limits<uint64_t>::max();
+  EXPECT_GE(BackoffUs(policy, 30, AttemptRng(7, 30)),
+            std::numeric_limits<uint64_t>::max() / 2);
 }
 
 }  // namespace

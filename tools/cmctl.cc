@@ -217,7 +217,7 @@ World MakeWorld(const Args& args) {
     if (!registry_plan.empty()) {
       CM_CHECK_OK(world.registry->InstallFaultLayer(registry_plan));
     }
-    if (args.fault_plan.IoEntry() != nullptr) {
+    if (args.fault_plan.ExactEntry(kIoFaultService) != nullptr) {
       world.io_faults = std::make_unique<ScopedIoFaultInjection>(
           IoFaultConfigFromPlan(args.fault_plan));
     }
