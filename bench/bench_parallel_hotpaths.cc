@@ -3,7 +3,8 @@
 // concurrently) — on identical inputs at 1 thread vs CM_BENCH_THREADS
 // (default 4) threads, and checks the artifacts are bit-identical across
 // thread counts (the util/parallel.h determinism contract). Label
-// propagation, a serial loop, gets a 1-thread row only.
+// propagation and the label model's EM fit, serial loops, get a 1-thread
+// row only.
 //
 // Timing is warm-up + median-of-N (MedianWallMs). Besides the console
 // table, the run writes BENCH_parallel_hotpaths.json via BenchReporter; the
@@ -15,6 +16,8 @@
 #include "dataflow/feature_generation.h"
 #include "graph/knn_graph.h"
 #include "graph/label_propagation.h"
+#include "labeling/label_model.h"
+#include "mining/itemset_miner.h"
 #include "ml/encoder.h"
 #include "ml/trainer.h"
 #include "util/hashing.h"
@@ -126,6 +129,28 @@ int main() {
       CM_CHECK(PropagateLabels(*prop_graph, seeds).ok());
     });
     rows.push_back(prop_row);
+
+    // ---- Label-model EM over the kNN nodes' votes. -----------------------
+    // LFs mined from the dev rows, applied to the graph's nodes, fit with
+    // the dev class balance fixed (as CrossModalPipeline does).
+    ItemsetMiner miner(&registry.schema(), MiningOptions{});
+    auto mined = miner.MineLFs(dev_rows, dev_labels);
+    CM_CHECK(mined.ok()) << mined.status();
+    const LabelMatrix matrix =
+        ApplyLabelingFunctions(mined->lfs, nodes, store);
+    GenerativeModelOptions lm_options;
+    double pos_rate = 0.0;
+    for (int y : dev_labels) pos_rate += y;
+    lm_options.fixed_class_balance =
+        pos_rate / static_cast<double>(dev_labels.size());
+    StageRow em_row;
+    em_row.stage = "label_model_fit";
+    em_row.entities = matrix.num_rows();
+    em_row.serial_only = true;
+    em_row.serial_ms = MedianWallMs(warmup, reps, [&] {
+      CM_CHECK(GenerativeLabelModel::Fit(matrix, lm_options).ok());
+    });
+    rows.push_back(em_row);
   }
 
   // ---- Ensemble trainers. ------------------------------------------------

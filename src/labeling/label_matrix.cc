@@ -1,7 +1,5 @@
 #include "labeling/label_matrix.h"
 
-#include "util/check.h"
-
 namespace crossmodal {
 
 LabelMatrix::LabelMatrix(std::vector<EntityId> entity_ids,
@@ -9,21 +7,6 @@ LabelMatrix::LabelMatrix(std::vector<EntityId> entity_ids,
     : entity_ids_(std::move(entity_ids)), lf_names_(std::move(lf_names)) {
   votes_.assign(entity_ids_.size() * lf_names_.size(),
                 static_cast<int8_t>(Vote::kAbstain));
-}
-
-// at/set sit inside per-(row, lf) inner loops of every coverage/conflict
-// statistic, so their bounds checks are debug-only (active under the
-// sanitizer presets, compiled out under Release/NDEBUG).
-Vote LabelMatrix::at(size_t row, size_t lf) const {
-  CM_DCHECK_LT(row, num_rows());
-  CM_DCHECK_LT(lf, num_lfs());
-  return static_cast<Vote>(votes_[row * num_lfs() + lf]);
-}
-
-void LabelMatrix::set(size_t row, size_t lf, Vote v) {
-  CM_DCHECK_LT(row, num_rows());
-  CM_DCHECK_LT(lf, num_lfs());
-  votes_[row * num_lfs() + lf] = static_cast<int8_t>(v);
 }
 
 double LabelMatrix::Coverage(size_t lf) const {

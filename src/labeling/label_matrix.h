@@ -9,6 +9,7 @@
 
 #include "features/feature_vector.h"
 #include "labeling/labeling_function.h"
+#include "util/check.h"
 
 namespace crossmodal {
 
@@ -24,8 +25,20 @@ class LabelMatrix {
   size_t num_rows() const { return entity_ids_.size(); }
   size_t num_lfs() const { return lf_names_.size(); }
 
-  Vote at(size_t row, size_t lf) const;
-  void set(size_t row, size_t lf, Vote v);
+  // at/set sit inside per-(row, lf) inner loops of EM and of every
+  // coverage/conflict statistic, so they are inline and their bounds checks
+  // are debug-only (active under the sanitizer presets, compiled out under
+  // Release/NDEBUG).
+  Vote at(size_t row, size_t lf) const {
+    CM_DCHECK_LT(row, num_rows());
+    CM_DCHECK_LT(lf, num_lfs());
+    return static_cast<Vote>(votes_[row * num_lfs() + lf]);
+  }
+  void set(size_t row, size_t lf, Vote v) {
+    CM_DCHECK_LT(row, num_rows());
+    CM_DCHECK_LT(lf, num_lfs());
+    votes_[row * num_lfs() + lf] = static_cast<int8_t>(v);
+  }
 
   EntityId entity(size_t row) const { return entity_ids_[row]; }
   const std::string& lf_name(size_t lf) const { return lf_names_[lf]; }

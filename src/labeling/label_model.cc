@@ -37,20 +37,29 @@ std::vector<ProbabilisticLabel> MajorityVote(const LabelMatrix& matrix,
 
 namespace {
 
+/// Assumed precision of each LF's votes used to initialize theta (the
+/// "LFs are better than random" prior Snorkel requires).
+constexpr double kInitPrecision = 0.8;
+
+/// Dirichlet-style smoothing added to each vote-count cell in the M-step
+/// (keeps theta off the simplex boundary).
+constexpr double kSmoothing = 0.2;
+
 /// Index of a vote within a theta row: {-1, 0, +1} -> {0, 1, 2}.
 inline size_t VoteIndex(Vote v) {
   return static_cast<size_t>(static_cast<int>(v) + 1);
 }
 
 /// Posterior P(y=1 | row) under theta, in log domain, abstains included.
+/// `log_theta` is std::log of every theta entry, in theta's layout.
 double RowPosterior(const LabelMatrix& matrix, size_t row,
-                    const std::vector<double>& theta, double pi) {
+                    const std::vector<double>& log_theta, double pi) {
   double log_pos = std::log(pi);
   double log_neg = std::log(1.0 - pi);
   for (size_t j = 0; j < matrix.num_lfs(); ++j) {
     const size_t v = VoteIndex(matrix.at(row, j));
-    log_pos += std::log(theta[j * 6 + 3 + v]);
-    log_neg += std::log(theta[j * 6 + v]);
+    log_pos += log_theta[j * 6 + 3 + v];
+    log_neg += log_theta[j * 6 + v];
   }
   const double m = std::max(log_pos, log_neg);
   const double denom = std::exp(log_pos - m) + std::exp(log_neg - m);
@@ -95,7 +104,7 @@ Result<GenerativeLabelModel> GenerativeLabelModel::Fit(
   // means matching the prior): prec_v = prior_v + p0 * (1 - prior_v).
   // For an LF with observed vote rates r(v), split r(v) between the classes
   // accordingly: P(lambda=v | y) = r(v) * P(y | v) / P(y).
-  const double p0 = options.init_precision;
+  const double p0 = kInitPrecision;
   const double prec_pos = pi0 + p0 * (1.0 - pi0);          // for +1 votes
   const double prec_neg = (1.0 - pi0) + p0 * pi0;          // for -1 votes
   for (size_t j = 0; j < m; ++j) {
@@ -122,46 +131,61 @@ Result<GenerativeLabelModel> GenerativeLabelModel::Fit(
     t_neg[1] = std::max(1e-4, 1.0 - t_neg[0] - t_neg[2]);
   }
 
-  std::vector<double> posterior(n, model.class_balance_);
-  std::vector<double> log_odds(n, 0.0);
-  const double s = options.smoothing;
-  const std::vector<double> theta_init = model.theta_;
+  // vote_log_odds[j*3 + v] = log P(v | y=1) - log P(v | y=0) for LF j: the
+  // E-step's per-cell term, which takes only 3·m values per iteration.
+  std::vector<double> vote_log_odds(m * 3);
+  // M-step vote counts in theta's layout. Every iteration starts them from
+  // the smoothing plus the anchor's pseudo-counts at the initialization.
   const double anchor = std::max(0.0, options.prior_anchor) *
                         static_cast<double>(n);
+  std::vector<double> count_init(m * 6);
+  for (size_t j = 0; j < m; ++j) {
+    for (size_t v = 0; v < 3; ++v) {
+      count_init[j * 6 + 3 + v] =
+          kSmoothing + anchor * pi0 * model.theta_[j * 6 + 3 + v];
+      count_init[j * 6 + v] =
+          kSmoothing + anchor * (1.0 - pi0) * model.theta_[j * 6 + v];
+    }
+  }
+  std::vector<double> counts(m * 6);
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     model.iterations_ = iter + 1;
-    // ---- E-step: full-row posterior log-odds. ---------------------------
     const double prior_logit =
         std::log(model.class_balance_ / (1.0 - model.class_balance_));
-    for (size_t i = 0; i < n; ++i) {
-      double lo = prior_logit;
-      for (size_t j = 0; j < m; ++j) {
-        const size_t v = VoteIndex(matrix.at(i, j));
-        lo += std::log(model.theta_[j * 6 + 3 + v]) -
-              std::log(model.theta_[j * 6 + v]);
+    for (size_t j = 0; j < m; ++j) {
+      for (size_t v = 0; v < 3; ++v) {
+        vote_log_odds[j * 3 + v] = std::log(model.theta_[j * 6 + 3 + v]) -
+                                   std::log(model.theta_[j * 6 + v]);
       }
-      log_odds[i] = lo;
-      posterior[i] = 1.0 / (1.0 + std::exp(-lo));
     }
-    // ---- M-step. (A leave-one-out variant — excluding LF j's own vote
+    // ---- One pass over the rows: the E-step's full-row posterior of row
+    // i, then its share of the M-step counts (each count still sums the
+    // rows in order). (A leave-one-out variant — excluding LF j's own vote
     // from the evidence — removes the mild self-reinforcement bias of EM,
     // but collapses when few LFs are available; the full-posterior M-step
     // is the stable choice, with accuracies known to shrink a few points
     // toward the ensemble mean.) ------------------------------------------
+    counts = count_init;
+    double mean = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      double lo = prior_logit;
+      for (size_t j = 0; j < m; ++j) {
+        lo += vote_log_odds[j * 3 + VoteIndex(matrix.at(i, j))];
+      }
+      const double posterior = 1.0 / (1.0 + std::exp(-lo));
+      mean += posterior;
+      for (size_t j = 0; j < m; ++j) {
+        const size_t v = VoteIndex(matrix.at(i, j));
+        counts[j * 6 + 3 + v] += posterior;
+        counts[j * 6 + v] += 1.0 - posterior;
+      }
+    }
+    // ---- M-step. ---------------------------------------------------------
     double max_delta = 0.0;
     for (size_t j = 0; j < m; ++j) {
-      double count_pos[3] = {s, s, s};
-      double count_neg[3] = {s, s, s};
-      for (size_t v = 0; v < 3; ++v) {
-        count_pos[v] += anchor * pi0 * theta_init[j * 6 + 3 + v];
-        count_neg[v] += anchor * (1.0 - pi0) * theta_init[j * 6 + v];
-      }
-      for (size_t i = 0; i < n; ++i) {
-        const size_t v = VoteIndex(matrix.at(i, j));
-        count_pos[v] += posterior[i];
-        count_neg[v] += 1.0 - posterior[i];
-      }
+      const double* count_neg = &counts[j * 6];
+      const double* count_pos = &counts[j * 6 + 3];
       const double total_pos = count_pos[0] + count_pos[1] + count_pos[2];
       const double total_neg = count_neg[0] + count_neg[1] + count_neg[2];
       for (size_t v = 0; v < 3; ++v) {
@@ -176,8 +200,6 @@ Result<GenerativeLabelModel> GenerativeLabelModel::Fit(
       }
     }
     if (!options.fixed_class_balance.has_value()) {
-      double mean = 0.0;
-      for (double q : posterior) mean += q;
       mean /= static_cast<double>(n);
       mean = std::clamp(mean, 1e-4, 1.0 - 1e-4);
       max_delta = std::max(max_delta, std::abs(mean - model.class_balance_));
@@ -192,6 +214,8 @@ std::vector<ProbabilisticLabel> GenerativeLabelModel::Predict(
     const LabelMatrix& matrix) const {
   CM_CHECK(matrix.num_lfs() == num_lfs_)
       << "matrix LF arity does not match the fitted model";
+  std::vector<double> log_theta(theta_.size());
+  for (size_t k = 0; k < theta_.size(); ++k) log_theta[k] = std::log(theta_[k]);
   std::vector<ProbabilisticLabel> out(matrix.num_rows());
   for (size_t i = 0; i < matrix.num_rows(); ++i) {
     ProbabilisticLabel& label = out[i];
@@ -207,7 +231,7 @@ std::vector<ProbabilisticLabel> GenerativeLabelModel::Predict(
       label.p_positive = class_balance_;
       continue;
     }
-    double p = RowPosterior(matrix, i, theta_, class_balance_);
+    double p = RowPosterior(matrix, i, log_theta, class_balance_);
     if (temperature_ != 1.0) {
       // Temper the log-odds relative to the prior (correlated-LF
       // double-counting correction; see GenerativeModelOptions).

@@ -42,12 +42,6 @@ std::vector<ProbabilisticLabel> MajorityVote(const LabelMatrix& matrix,
 struct GenerativeModelOptions {
   int max_iterations = 100;
   double tolerance = 1e-6;  ///< Stop when params move less than this.
-  /// Assumed precision of each LF's votes used to initialize theta (the
-  /// "LFs are better than random" prior Snorkel requires).
-  double init_precision = 0.8;
-  /// Dirichlet-style smoothing added to each vote-count cell in the M-step
-  /// (keeps theta off the simplex boundary).
-  double smoothing = 0.2;
   /// Strength of the Dirichlet prior anchoring the M-step at the
   /// better-than-random initialization, as a fraction of the dataset size.
   /// Under model misspecification (correlated LFs), unanchored EM can drift

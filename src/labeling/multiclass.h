@@ -90,7 +90,8 @@ struct MulticlassLabel {
   int32_t Top() const;
 };
 
-/// EM options (subset of the binary model's).
+/// EM options. Unlike the binary model, whose initial precision and
+/// smoothing are constants, both are fields here.
 struct MulticlassModelOptions {
   int max_iterations = 100;
   double tolerance = 1e-6;

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -5,6 +6,7 @@
 
 #include "util/logging.h"
 
+#include "audit/determinism.h"
 #include "graph/knn_graph.h"
 #include "graph/label_propagation.h"
 #include "graph/similarity.h"
@@ -344,6 +346,63 @@ TEST_F(KnnGraphTest, EmptyNodeListOk) {
   auto graph = BuildKnnGraph({}, store_, sim, KnnGraphOptions{});
   ASSERT_TRUE(graph.ok());
   EXPECT_EQ(graph->num_nodes(), 0u);
+}
+
+TEST(KnnSelectionTest, OverflowingCandidatesWithTiesArePinned) {
+  // 400 nodes with 3-6 tags out of 24 (negative ids included) and no
+  // stop-items: almost every node shares a tag with more than 150 others,
+  // so the top-150 overlap cut runs, and it cuts through a tie of counts.
+  const FeatureSchema schema = GraphSchema();
+  FeatureStore store(&schema);
+  std::vector<EntityId> nodes;
+  std::vector<std::vector<int32_t>> tags;
+  Rng rng(31);
+  for (EntityId id = 1; id <= 400; ++id) {
+    std::vector<int32_t> t;
+    const size_t count = 3 + rng.UniformInt(uint64_t{4});
+    for (size_t c = 0; c < count; ++c) {
+      t.push_back(static_cast<int32_t>(rng.UniformInt(uint64_t{24})) - 12);
+    }
+    const FeatureValue value = FeatureValue::Categorical(t);
+    tags.push_back(value.categories());
+    FeatureVector row(3);
+    row.Set(0, value);
+    row.Set(1, FeatureValue::Numeric(rng.Normal()));
+    row.Set(2, FeatureValue::Embedding({static_cast<float>(rng.Normal()),
+                                        static_cast<float>(rng.Normal()),
+                                        static_cast<float>(rng.Normal())}));
+    store.Put(id, std::move(row));
+    nodes.push_back(id);
+  }
+  size_t cut_in_tie = 0;
+  for (size_t i = 0; i < tags.size(); ++i) {
+    std::vector<size_t> shared;
+    for (size_t j = 0; j < tags.size(); ++j) {
+      if (j == i) continue;
+      size_t s = 0;
+      for (int32_t a : tags[i]) {
+        s += std::count(tags[j].begin(), tags[j].end(), a);
+      }
+      if (s > 0) shared.push_back(s);
+    }
+    std::sort(shared.rbegin(), shared.rend());
+    if (shared.size() > 150 && shared[149] == shared[150]) ++cut_in_tie;
+  }
+  ASSERT_GT(cut_in_tie, 300u);
+
+  FeatureSimilarity sim(&schema, {0, 1, 2});
+  std::vector<const FeatureVector*> rows;
+  for (EntityId id : nodes) rows.push_back(*store.Get(id));
+  sim.FitNormalization(rows);
+  KnnGraphOptions options;
+  options.stop_item_fraction = 1.0;
+  for (size_t threads : {1, 4}) {
+    options.parallel.num_threads = threads;
+    auto graph = BuildKnnGraph(nodes, store, sim, options);
+    ASSERT_TRUE(graph.ok());
+    EXPECT_EQ(DeterminismHarness::HashGraph(*graph), 0x64d13754490db9b8ULL)
+        << "threads=" << threads;
+  }
 }
 
 // ---------- Label propagation -----------------------------------------------

@@ -1,3 +1,7 @@
+#include <algorithm>
+#include <optional>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "util/logging.h"
@@ -264,6 +268,238 @@ TEST(GenerativeModelTest, UncoveredRowsFallBackToBalance) {
   EXPECT_TRUE(labels[3].covered);
   // A positive vote must land above a negative vote.
   EXPECT_GT(labels[0].p_positive, labels[3].p_positive);
+}
+
+// ---------- EM against a per-cell-log reference -----------------------------
+
+/// The generative model as a direct transcription of its math: every E-step
+/// and posterior takes std::log of theta per (row, LF) cell. The library's
+/// fit must reproduce it bit for bit. Smoothing 0.2 and initial precision
+/// 0.8 are the library's fixed values.
+struct ReferenceLabelModel {
+  std::vector<double> theta;  // theta[j*6 + y*3 + v], v in {-1, 0, +1}
+  double class_balance = 0.5;
+  double temperature = 1.0;
+  int iterations = 0;
+
+  static size_t Index(Vote v) {
+    return static_cast<size_t>(static_cast<int>(v) + 1);
+  }
+
+  static ReferenceLabelModel Fit(const LabelMatrix& matrix,
+                                 const GenerativeModelOptions& options) {
+    const size_t n = matrix.num_rows();
+    const size_t m = matrix.num_lfs();
+    ReferenceLabelModel model;
+    model.temperature = std::max(1e-3, options.posterior_temperature);
+    model.theta.assign(m * 6, 0.0);
+    model.class_balance =
+        options.fixed_class_balance.value_or(options.init_class_balance);
+    const double pi0 = model.class_balance;
+    const double p0 = 0.8;
+    const double prec_pos = pi0 + p0 * (1.0 - pi0);
+    const double prec_neg = (1.0 - pi0) + p0 * pi0;
+    for (size_t j = 0; j < m; ++j) {
+      double rate[3] = {0.0, 0.0, 0.0};
+      for (size_t i = 0; i < n; ++i) rate[Index(matrix.at(i, j))] += 1.0;
+      for (double& r : rate) r /= static_cast<double>(n);
+      auto cap = [](double v) { return std::clamp(v, 1e-4, 0.95); };
+      double* t_neg = &model.theta[j * 6];
+      double* t_pos = &model.theta[j * 6 + 3];
+      t_pos[2] = cap(rate[2] * prec_pos / std::max(pi0, 1e-3));
+      t_neg[2] = cap(rate[2] * (1.0 - prec_pos) / std::max(1.0 - pi0, 1e-3));
+      t_neg[0] = cap(rate[0] * prec_neg / std::max(1.0 - pi0, 1e-3));
+      t_pos[0] = cap(rate[0] * (1.0 - prec_neg) / std::max(pi0, 1e-3));
+      t_pos[1] = std::max(1e-4, 1.0 - t_pos[0] - t_pos[2]);
+      t_neg[1] = std::max(1e-4, 1.0 - t_neg[0] - t_neg[2]);
+    }
+    std::vector<double> posterior(n, model.class_balance);
+    const double s = 0.2;
+    const std::vector<double> theta_init = model.theta;
+    const double anchor =
+        std::max(0.0, options.prior_anchor) * static_cast<double>(n);
+    for (int iter = 0; iter < options.max_iterations; ++iter) {
+      model.iterations = iter + 1;
+      const double prior_logit =
+          std::log(model.class_balance / (1.0 - model.class_balance));
+      for (size_t i = 0; i < n; ++i) {
+        double lo = prior_logit;
+        for (size_t j = 0; j < m; ++j) {
+          const size_t v = Index(matrix.at(i, j));
+          lo += std::log(model.theta[j * 6 + 3 + v]) -
+                std::log(model.theta[j * 6 + v]);
+        }
+        posterior[i] = 1.0 / (1.0 + std::exp(-lo));
+      }
+      double max_delta = 0.0;
+      for (size_t j = 0; j < m; ++j) {
+        double count_pos[3] = {s, s, s};
+        double count_neg[3] = {s, s, s};
+        for (size_t v = 0; v < 3; ++v) {
+          count_pos[v] += anchor * pi0 * theta_init[j * 6 + 3 + v];
+          count_neg[v] += anchor * (1.0 - pi0) * theta_init[j * 6 + v];
+        }
+        for (size_t i = 0; i < n; ++i) {
+          const size_t v = Index(matrix.at(i, j));
+          count_pos[v] += posterior[i];
+          count_neg[v] += 1.0 - posterior[i];
+        }
+        const double total_pos = count_pos[0] + count_pos[1] + count_pos[2];
+        const double total_neg = count_neg[0] + count_neg[1] + count_neg[2];
+        for (size_t v = 0; v < 3; ++v) {
+          const double new_pos = count_pos[v] / total_pos;
+          const double new_neg = count_neg[v] / total_neg;
+          max_delta = std::max(
+              max_delta, std::abs(new_pos - model.theta[j * 6 + 3 + v]));
+          max_delta =
+              std::max(max_delta, std::abs(new_neg - model.theta[j * 6 + v]));
+          model.theta[j * 6 + 3 + v] = new_pos;
+          model.theta[j * 6 + v] = new_neg;
+        }
+      }
+      if (!options.fixed_class_balance.has_value()) {
+        double mean = 0.0;
+        for (double q : posterior) mean += q;
+        mean /= static_cast<double>(n);
+        mean = std::clamp(mean, 1e-4, 1.0 - 1e-4);
+        max_delta = std::max(max_delta, std::abs(mean - model.class_balance));
+        model.class_balance = mean;
+      }
+      if (max_delta < options.tolerance) break;
+    }
+    return model;
+  }
+
+  std::vector<double> PositiveProbabilities(const LabelMatrix& matrix) const {
+    std::vector<double> out(matrix.num_rows());
+    for (size_t i = 0; i < matrix.num_rows(); ++i) {
+      bool covered = false;
+      for (size_t j = 0; j < matrix.num_lfs(); ++j) {
+        covered = covered || matrix.at(i, j) != Vote::kAbstain;
+      }
+      if (!covered) {
+        out[i] = class_balance;
+        continue;
+      }
+      double log_pos = std::log(class_balance);
+      double log_neg = std::log(1.0 - class_balance);
+      for (size_t j = 0; j < matrix.num_lfs(); ++j) {
+        const size_t v = Index(matrix.at(i, j));
+        log_pos += std::log(theta[j * 6 + 3 + v]);
+        log_neg += std::log(theta[j * 6 + v]);
+      }
+      const double mx = std::max(log_pos, log_neg);
+      const double denom = std::exp(log_pos - mx) + std::exp(log_neg - mx);
+      double p = std::exp(log_pos - mx) / denom;
+      if (temperature != 1.0) {
+        p = std::clamp(p, 1e-12, 1.0 - 1e-12);
+        const double prior_logit =
+            std::log(class_balance / (1.0 - class_balance));
+        const double logit = std::log(p / (1.0 - p));
+        p = 1.0 / (1.0 + std::exp(-(prior_logit +
+                                    (logit - prior_logit) / temperature)));
+      }
+      out[i] = p;
+    }
+    return out;
+  }
+
+  std::vector<double> Accuracies() const {
+    std::vector<double> out(theta.size() / 6);
+    const double pi = class_balance;
+    for (size_t j = 0; j < out.size(); ++j) {
+      const double agree = pi * theta[j * 6 + 5] + (1.0 - pi) * theta[j * 6];
+      const double vote = pi * (theta[j * 6 + 3] + theta[j * 6 + 5]) +
+                          (1.0 - pi) * (theta[j * 6] + theta[j * 6 + 2]);
+      out[j] = vote > 0.0 ? agree / vote : 0.5;
+    }
+    return out;
+  }
+
+  std::vector<double> Propensities() const {
+    std::vector<double> out(theta.size() / 6);
+    const double pi = class_balance;
+    for (size_t j = 0; j < out.size(); ++j) {
+      out[j] = pi * (1.0 - theta[j * 6 + 4]) +
+               (1.0 - pi) * (1.0 - theta[j * 6 + 1]);
+    }
+    return out;
+  }
+};
+
+/// A random matrix of one-sided and two-sided LFs with per-LF vote rates,
+/// including LFs that never vote and rows no LF covers.
+LabelMatrix RandomVotes(size_t n, size_t m, uint64_t seed) {
+  std::vector<EntityId> ids(n);
+  for (size_t i = 0; i < n; ++i) ids[i] = i + 1;
+  std::vector<std::string> names(m);
+  for (size_t j = 0; j < m; ++j) names[j] = "lf" + std::to_string(j);
+  LabelMatrix matrix(ids, names);
+  Rng rng(seed);
+  std::vector<double> pos_rate(m), neg_rate(m);
+  for (size_t j = 0; j < m; ++j) {
+    const uint64_t kind = rng.UniformInt(uint64_t{5});
+    pos_rate[j] = kind == 0 ? 0.0 : rng.Uniform(0.0, 0.3);
+    neg_rate[j] = kind == 1 ? 0.0 : rng.Uniform(0.0, 0.5);
+    if (kind == 2 && j % 7 == 3) pos_rate[j] = neg_rate[j] = 0.0;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const bool positive = rng.Bernoulli(0.2);
+    for (size_t j = 0; j < m; ++j) {
+      const double u = rng.Uniform();
+      const double lift = positive ? 1.5 : 0.7;
+      if (u < pos_rate[j] * lift) {
+        matrix.set(i, j, Vote::kPositive);
+      } else if (u < pos_rate[j] * lift + neg_rate[j] / lift) {
+        matrix.set(i, j, Vote::kNegative);
+      }
+    }
+  }
+  return matrix;
+}
+
+TEST(GenerativeModelTest, MatchesPerCellLogReferenceBitForBit) {
+  struct Case {
+    size_t n, m;
+    uint64_t seed;
+    std::optional<double> fixed_balance;
+    double temperature;
+    double anchor;
+    int max_iterations;
+  };
+  const Case cases[] = {
+      {600, 12, 1, 0.2, 1.0, 0.15, 100},
+      {600, 12, 1, std::nullopt, 1.0, 0.15, 100},
+      {900, 30, 2, 0.1, 3.0, 0.15, 50},
+      {900, 30, 2, std::nullopt, 3.0, 0.0, 50},
+      {300, 1, 3, 0.3, 1.0, 0.0, 100},
+      {1500, 45, 4, std::nullopt, 1.0, 0.15, 7},
+      {1500, 45, 4, 0.05, 3.0, 0.15, 100},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("n=" + std::to_string(c.n) + " m=" + std::to_string(c.m) +
+                 " seed=" + std::to_string(c.seed) +
+                 " T=" + std::to_string(c.temperature));
+    const LabelMatrix matrix = RandomVotes(c.n, c.m, c.seed);
+    GenerativeModelOptions options;
+    options.fixed_class_balance = c.fixed_balance;
+    options.posterior_temperature = c.temperature;
+    options.prior_anchor = c.anchor;
+    options.max_iterations = c.max_iterations;
+    auto fit = GenerativeLabelModel::Fit(matrix, options);
+    ASSERT_TRUE(fit.ok()) << fit.status();
+    const ReferenceLabelModel ref = ReferenceLabelModel::Fit(matrix, options);
+    EXPECT_EQ(fit->iterations(), ref.iterations);
+    EXPECT_EQ(fit->class_balance(), ref.class_balance);
+    EXPECT_EQ(fit->accuracies(), ref.Accuracies());
+    EXPECT_EQ(fit->propensities(), ref.Propensities());
+    const std::vector<ProbabilisticLabel> labels = fit->Predict(matrix);
+    const std::vector<double> expected = ref.PositiveProbabilities(matrix);
+    ASSERT_EQ(labels.size(), expected.size());
+    for (size_t i = 0; i < labels.size(); ++i) {
+      ASSERT_EQ(labels[i].p_positive, expected[i]) << "row " << i;
+    }
+  }
 }
 
 

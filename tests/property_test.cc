@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -55,6 +56,62 @@ TEST_P(JaccardProperty, BoundsSymmetryIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JaccardProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+/// Jaccard by a sorted merge of the two sets: the reference the library's
+/// JaccardIndex must match bit for bit.
+double MergeJaccard(const std::vector<int32_t>& a,
+                    const std::vector<int32_t>& b) {
+  if (a.empty() && b.empty()) return 1.0;
+  size_t inter = 0;
+  size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] == b[j]) {
+      ++inter;
+      ++i;
+      ++j;
+    } else if (a[i] < b[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  const size_t uni = a.size() + b.size() - inter;
+  return static_cast<double>(inter) / static_cast<double>(uni);
+}
+
+TEST(JaccardIndexProperty, MatchesSortedMergeOverEveryInt32Id) {
+  constexpr int32_t kMin = std::numeric_limits<int32_t>::min();
+  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
+  Rng rng(2024);
+  // Draws a sorted, deduplicated set of exactly `size` ids: mostly small
+  // ids (negatives included) so sets overlap, plus the int32 extremes and
+  // arbitrary 32-bit values.
+  auto random_set = [&](size_t size) {
+    std::vector<int32_t> s;
+    while (s.size() < size) {
+      int32_t id;
+      switch (rng.UniformInt(uint64_t{6})) {
+        case 0: id = kMin; break;
+        case 1: id = kMax; break;
+        case 2: id = static_cast<int32_t>(static_cast<uint32_t>(rng())); break;
+        default: id = static_cast<int32_t>(rng.UniformInt(-40, 40)); break;
+      }
+      if (std::find(s.begin(), s.end(), id) == s.end()) s.push_back(id);
+    }
+    std::sort(s.begin(), s.end());
+    return s;
+  };
+  for (size_t size_a = 0; size_a <= 40; ++size_a) {
+    for (int trial = 0; trial < 60; ++trial) {
+      const std::vector<int32_t> a = random_set(size_a);
+      const std::vector<int32_t> b =
+          random_set(static_cast<size_t>(rng.UniformInt(uint64_t{41})));
+      EXPECT_EQ(JaccardIndex(a, b), MergeJaccard(a, b));
+      EXPECT_EQ(JaccardIndex(b, a), MergeJaccard(b, a));
+      EXPECT_EQ(JaccardIndex(a, a), MergeJaccard(a, a));
+    }
+  }
+}
 
 // ---------- AveragePrecision invariances -------------------------------------
 

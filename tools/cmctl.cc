@@ -18,7 +18,9 @@
 //                                                columnar format (the input
 //                                                format is sniffed; the
 //                                                output format comes from
-//                                                --to or the --out extension)
+//                                                --to or the --out extension;
+//                                                --fault-plan takes io:
+//                                                entries only)
 //
 // generate/curate take --store-format tsv|columnar to pick the on-disk
 // encoding of the feature store they emit (features.tsv vs features.cmc).
@@ -88,7 +90,7 @@ void PrintUsage() {
                "[--requests N] [--max-batch N] [--batch-window-us U] "
                "[--queue-capacity N]\n"
                "       cmctl convert --schema SCHEMA.tsv --in STORE --out "
-               "STORE [--to tsv|columnar]\n");
+               "STORE [--to tsv|columnar] [--fault-plan io:...]\n");
 }
 
 /// Parses `value` with the checked helper `parse`, or fails with a usage
@@ -198,6 +200,23 @@ struct World {
   std::unique_ptr<ScopedIoFaultInjection> io_faults;
 };
 
+/// Arms the process-global file-IO injector when `plan` carries an `io:`
+/// entry (null otherwise) and announces a non-empty plan. Every command
+/// that takes --fault-plan calls this, so an `io:` entry always reaches
+/// the files the command reads and writes.
+std::unique_ptr<ScopedIoFaultInjection> ArmFaultPlan(const FaultPlan& plan) {
+  if (plan.empty()) return nullptr;
+  std::unique_ptr<ScopedIoFaultInjection> io_faults;
+  if (plan.ExactEntry(kIoFaultService) != nullptr) {
+    io_faults = std::make_unique<ScopedIoFaultInjection>(
+        IoFaultConfigFromPlan(plan));
+  }
+  std::printf("fault plan active (%zu directive%s, seed %llu)\n",
+              plan.entries.size(), plan.entries.size() == 1 ? "" : "s",
+              static_cast<unsigned long long>(plan.seed));
+  return io_faults;
+}
+
 World MakeWorld(const Args& args) {
   World world;
   world.task = TaskSpec::CT(args.task).Scaled(args.scale);
@@ -209,23 +228,14 @@ World MakeWorld(const Args& args) {
   CM_CHECK(registry.ok()) << registry.status();
   world.registry =
       std::make_unique<ResourceRegistry>(std::move(registry).value());
-  if (!args.fault_plan.empty()) {
-    // The registry rejects the reserved targets: `serving:` entries are
-    // consumed by the ShardedServer fault hook in `serve`, and `io:`
-    // entries arm the process-global file-IO injector here.
-    const FaultPlan registry_plan = args.fault_plan.WithoutReserved();
-    if (!registry_plan.empty()) {
-      CM_CHECK_OK(world.registry->InstallFaultLayer(registry_plan));
-    }
-    if (args.fault_plan.ExactEntry(kIoFaultService) != nullptr) {
-      world.io_faults = std::make_unique<ScopedIoFaultInjection>(
-          IoFaultConfigFromPlan(args.fault_plan));
-    }
-    std::printf("fault plan active (%zu directive%s, seed %llu)\n",
-                args.fault_plan.entries.size(),
-                args.fault_plan.entries.size() == 1 ? "" : "s",
-                static_cast<unsigned long long>(args.fault_plan.seed));
+  // The registry rejects the reserved targets: `serving:` entries are
+  // consumed by the ShardedServer fault hook in `serve`, and `io:` entries
+  // arm the process-global file-IO injector.
+  const FaultPlan registry_plan = args.fault_plan.WithoutReserved();
+  if (!registry_plan.empty()) {
+    CM_CHECK_OK(world.registry->InstallFaultLayer(registry_plan));
   }
+  world.io_faults = ArmFaultPlan(args.fault_plan);
   if (args.cache_capacity > 0) {
     // Installed after the fault layer so the cache is outermost: a cached
     // value short-circuits injected faults and retries entirely.
@@ -513,6 +523,18 @@ int CmdConvert(const Args& args) {
     PrintUsage();
     return 2;
   }
+  // convert touches no service and no server: only `io:` entries apply.
+  for (const FaultPlan::Entry& entry : args.fault_plan.entries) {
+    if (entry.service != kIoFaultService) {
+      std::fprintf(stderr,
+                   "cmctl: convert takes only io: fault-plan entries, got "
+                   "%s:\n",
+                   entry.service.c_str());
+      return 2;
+    }
+  }
+  const std::unique_ptr<ScopedIoFaultInjection> io_faults =
+      ArmFaultPlan(args.fault_plan);
   auto schema = ReadSchemaTsv(args.schema_path);
   if (!schema.ok()) {
     std::fprintf(stderr, "cmctl: cannot read --schema: %s\n",
