@@ -3,8 +3,9 @@
 // concurrently) — on identical inputs at 1 thread vs CM_BENCH_THREADS
 // (default 4) threads, and checks the artifacts are bit-identical across
 // thread counts (the util/parallel.h determinism contract). Label
-// propagation and the label model's EM fit, serial loops, get a 1-thread
-// row only.
+// propagation, the label model's EM fit and serving-path scoring
+// (ModelServer::ScoreBatch over the image rows), serial loops, get a
+// 1-thread row only.
 //
 // Timing is warm-up + median-of-N (MedianWallMs). Besides the console
 // table, the run writes BENCH_parallel_hotpaths.json via BenchReporter; the
@@ -13,13 +14,16 @@
 
 #include "bench_common.h"
 #include "audit/determinism.h"
+#include "core/feature_selection.h"
 #include "dataflow/feature_generation.h"
 #include "graph/knn_graph.h"
 #include "graph/label_propagation.h"
 #include "labeling/label_model.h"
+#include "fusion/fusion.h"
 #include "mining/itemset_miner.h"
 #include "ml/encoder.h"
 #include "ml/trainer.h"
+#include "serving/model_server.h"
 #include "util/hashing.h"
 
 using namespace crossmodal;
@@ -205,6 +209,58 @@ int main() {
     mlp_spec.train.epochs = 3;
     mlp_spec.train.parallel.num_threads = 1;
     train_row("mlp_train", mlp_spec);
+  }
+
+  // ---- Serving-path scoring. ---------------------------------------------
+  // An early-fusion model (the pipeline's default) scores every image row
+  // through ModelServer::ScoreBatch. The rows hold the nonservable
+  // content_risk_score, as the store's image rows do when served.
+  {
+    auto selection =
+        SelectFeatures(registry.schema(), FeatureSelectionOptions{});
+    CM_CHECK(selection.ok()) << selection.status();
+    FusionInput input;
+    input.store = &store;
+    input.text_features = selection->text_model_features;
+    input.image_features = selection->image_model_features;
+    for (const Entity& e : corpus.text_labeled) {
+      input.points.push_back(TrainPoint{e.id, Modality::kText,
+                                        e.label == 1 ? 1.0f : 0.0f, 1.0f});
+    }
+    std::vector<const FeatureVector*> image_rows;
+    for (const Entity& e : corpus.image_unlabeled) {
+      input.points.push_back(TrainPoint{e.id, Modality::kImage,
+                                        e.label == 1 ? 0.9f : 0.1f, 1.0f});
+      image_rows.push_back(*store.Get(e.id));
+    }
+    auto score_row = [&](const std::string& stage, const ModelSpec& spec) {
+      auto model = TrainEarlyFusion(input, spec);
+      CM_CHECK(model.ok()) << model.status();
+      auto server = ModelServer::Create(std::move(*model), &registry.schema(),
+                                        input.image_features);
+      CM_CHECK(server.ok()) << server.status();
+      StageRow row;
+      row.stage = stage;
+      row.entities = image_rows.size();
+      row.serial_only = true;
+      row.serial_ms = MedianWallMs(warmup, reps, [&] {
+        CM_CHECK(server->ScoreBatch(image_rows).size() == image_rows.size());
+      });
+      rows.push_back(row);
+    };
+
+    ModelSpec mlp_spec;
+    mlp_spec.kind = ModelKind::kMlp;
+    mlp_spec.hidden = {32};
+    mlp_spec.ensemble_size = 3;
+    mlp_spec.train.epochs = 2;
+    score_row("model_score_mlp", mlp_spec);
+
+    ModelSpec lr_spec;
+    lr_spec.kind = ModelKind::kLogisticRegression;
+    lr_spec.ensemble_size = 3;
+    lr_spec.train.epochs = 2;
+    score_row("model_score_lr", lr_spec);
   }
 
   // ---- Report. -----------------------------------------------------------

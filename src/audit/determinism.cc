@@ -328,7 +328,7 @@ Result<StageHashes> RunStack(const DeterminismOptions& options) {
   hashes.emplace_back("trained_model",
                       HashDoubles(pipeline.ScoreTestSet(*result.model)));
 
-  // ---- Stage: serving (nonservable stripping included). ----------------
+  // ---- Stage: serving (rows hold the nonservable feature, unread). -----
   const std::shared_ptr<const CrossModalModel> model(std::move(result.model));
   CM_ASSIGN_OR_RETURN(ModelServer server,
                       ModelServer::Create(model, &registry.schema(),

@@ -22,11 +22,11 @@
 // trained-model stage hashes the model's scores over the held-out test set
 // (a behavioral fingerprint: any weight divergence that can ever affect an
 // output diverges this hash); the serving stage re-scores through
-// ModelServer, additionally covering the nonservable-stripping path. The
-// sharded_scores stage then pushes the same rows through ShardedServer —
-// micro-batched, multi-threaded, optionally under a `serving:` fault entry —
-// and fails the audit outright if any served score differs bitwise from
-// direct scoring.
+// ModelServer, whose rows still hold the nonservable feature the model
+// must never read. The sharded_scores stage then pushes the same rows
+// through ShardedServer — micro-batched, multi-threaded, optionally under a
+// `serving:` fault entry — and fails the audit outright if any served score
+// differs bitwise from direct scoring.
 //
 // tools/cmaudit.cc wraps this as a CLI + ctest entry.
 

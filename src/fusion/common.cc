@@ -86,13 +86,19 @@ Dataset BuildDataset(const MaskedRows& rows, const FeatureEncoder& encoder) {
   return data;
 }
 
-std::vector<FeatureId> UnionFeatures(const FusionInput& input) {
-  std::vector<FeatureId> out = input.text_features;
+std::vector<FeatureId> UnionFeatures(const std::vector<FeatureId>& a,
+                                     const std::vector<FeatureId>& b) {
+  std::vector<FeatureId> out = a;
   std::unordered_set<FeatureId> seen(out.begin(), out.end());
-  for (FeatureId f : input.image_features) {
+  for (FeatureId f : b) {
     if (seen.insert(f).second) out.push_back(f);
   }
   return out;
+}
+
+SparseRow& ScratchRow() {
+  thread_local SparseRow row;
+  return row;
 }
 
 }  // namespace fusion_internal

@@ -8,6 +8,7 @@ namespace {
 using fusion_internal::BuildDataset;
 using fusion_internal::CollectRows;
 using fusion_internal::MaskedRows;
+using fusion_internal::ScratchRow;
 using fusion_internal::UnionFeatures;
 
 /// Single model over the merged feature space; modality-specific features
@@ -21,39 +22,34 @@ class EarlyFusionModel : public CrossModalModel {
                    std::vector<FeatureId> image_features, size_t arity)
       : encoder_(std::move(encoder)),
         model_(std::move(model)),
-        image_features_(std::move(image_features)),
-        arity_(arity) {}
+        image_mask_(MakeFeatureMask(image_features, arity)),
+        image_features_(std::move(image_features)) {}
 
-  /// Encodes a row plus the modality-indicator slot.
-  SparseRow EncodeWithModality(const FeatureEncoder& encoder,
-                               const FeatureVector& masked,
-                               Modality modality) const {
-    return AppendModalitySlot(encoder, encoder.Encode(masked), modality);
-  }
-
-  static SparseRow AppendModalitySlot(const FeatureEncoder& encoder,
-                                      SparseRow encoded, Modality modality) {
+  static void AppendModalitySlot(const FeatureEncoder& encoder,
+                                 Modality modality, SparseRow* encoded) {
     if (modality != Modality::kText) {
-      encoded.Add(static_cast<uint32_t>(encoder.dim()), 1.0f);
+      encoded->Add(static_cast<uint32_t>(encoder.dim()), 1.0f);
     }
-    return encoded;
   }
 
   double Score(const FeatureVector& row) const override {
-    const FeatureVector masked = MaskRow(row, image_features_, arity_);
-    return model_->Predict(
-        EncodeWithModality(encoder_, masked, Modality::kImage));
+    SparseRow& x = ScratchRow();
+    encoder_.Encode(row, image_mask_, &x);
+    AppendModalitySlot(encoder_, Modality::kImage, &x);
+    return model_->Predict(x);
+  }
+
+  std::vector<FeatureId> input_features() const override {
+    return image_features_;
   }
 
   const char* method_name() const override { return "early_fusion"; }
 
-  const Model& model() const { return *model_; }
-
  private:
   FeatureEncoder encoder_;
   ModelPtr model_;
+  FeatureMask image_mask_;
   std::vector<FeatureId> image_features_;
-  size_t arity_;
 };
 
 }  // namespace
@@ -68,15 +64,16 @@ Result<CrossModalModelPtr> TrainEarlyFusion(const FusionInput& input,
       CollectRows(input, /*modality=*/nullptr, /*per_modality_mask=*/true,
                   /*fixed_mask=*/{}));
   EncoderOptions enc_options;
-  enc_options.features = UnionFeatures(input);
+  enc_options.features =
+      UnionFeatures(input.text_features, input.image_features);
   CM_ASSIGN_OR_RETURN(FeatureEncoder encoder,
                       FeatureEncoder::Fit(input.store->schema(), rows.ptrs,
                                           std::move(enc_options)));
   Dataset data = BuildDataset(rows, encoder);
   data.dim = encoder.dim() + 1;  // + modality indicator
   for (size_t i = 0; i < data.examples.size(); ++i) {
-    data.examples[i].x = EarlyFusionModel::AppendModalitySlot(
-        encoder, std::move(data.examples[i].x), rows.points[i]->modality);
+    EarlyFusionModel::AppendModalitySlot(encoder, rows.points[i]->modality,
+                                         &data.examples[i].x);
   }
   CM_ASSIGN_OR_RETURN(ModelPtr model, TrainModel(data, spec));
   return CrossModalModelPtr(std::make_unique<EarlyFusionModel>(

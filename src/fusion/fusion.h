@@ -53,6 +53,10 @@ class CrossModalModel {
   /// P(y = 1) for an image-modality feature row.
   virtual double Score(const FeatureVector& row) const = 0;
 
+  /// Every feature Score reads; Score treats all others as missing. The
+  /// serving tier refuses a model that lists a nonservable feature here.
+  virtual std::vector<FeatureId> input_features() const = 0;
+
   /// Descriptive name ("early_fusion", ...).
   virtual const char* method_name() const = 0;
 };

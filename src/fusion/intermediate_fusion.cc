@@ -8,6 +8,8 @@ namespace {
 using fusion_internal::BuildDataset;
 using fusion_internal::CollectRows;
 using fusion_internal::MaskedRows;
+using fusion_internal::ScratchRow;
+using fusion_internal::UnionFeatures;
 
 /// Encodes the concatenation of two dense embeddings as a SparseRow.
 SparseRow ConcatEmbeddings(const std::vector<double>& a,
@@ -36,22 +38,23 @@ class IntermediateFusionModel : public CrossModalModel {
         image_encoder_(std::move(image_encoder)),
         image_model_(std::move(image_model)),
         head_(std::move(head)),
-        text_features_(std::move(text_features)),
-        image_features_(std::move(image_features)),
-        arity_(arity) {}
-
-  double Score(const FeatureVector& row) const override {
-    return head_->Predict(EmbedRow(row));
-  }
+        text_mask_(MakeFeatureMask(text_features, arity)),
+        image_mask_(MakeFeatureMask(image_features, arity)),
+        input_features_(UnionFeatures(text_features, image_features)) {}
 
   /// Shared features are passed into both modality models; each model sees
   /// the row masked to its own feature set.
-  SparseRow EmbedRow(const FeatureVector& row) const {
-    const auto e_text = text_model_->Embed(
-        text_encoder_.Encode(MaskRow(row, text_features_, arity_)));
-    const auto e_image = image_model_->Embed(
-        image_encoder_.Encode(MaskRow(row, image_features_, arity_)));
-    return ConcatEmbeddings(e_text, e_image);
+  double Score(const FeatureVector& row) const override {
+    SparseRow& x = ScratchRow();
+    text_encoder_.Encode(row, text_mask_, &x);
+    const auto e_text = text_model_->Embed(x);
+    image_encoder_.Encode(row, image_mask_, &x);
+    const auto e_image = image_model_->Embed(x);
+    return head_->Predict(ConcatEmbeddings(e_text, e_image));
+  }
+
+  std::vector<FeatureId> input_features() const override {
+    return input_features_;
   }
 
   const char* method_name() const override { return "intermediate_fusion"; }
@@ -62,9 +65,9 @@ class IntermediateFusionModel : public CrossModalModel {
   FeatureEncoder image_encoder_;
   ModelPtr image_model_;
   ModelPtr head_;
-  std::vector<FeatureId> text_features_;
-  std::vector<FeatureId> image_features_;
-  size_t arity_;
+  FeatureMask text_mask_;
+  FeatureMask image_mask_;
+  std::vector<FeatureId> input_features_;
 };
 
 /// Trains one modality's first-stage model.
@@ -108,14 +111,17 @@ Result<CrossModalModelPtr> TrainIntermediateFusion(const FusionInput& input,
   // ---- Stage 2: second pass over all data; concatenated embeddings feed
   // the head model.
   const size_t arity = input.store->schema().size();
+  const FeatureMask text_mask = MakeFeatureMask(input.text_features, arity);
+  const FeatureMask image_mask = MakeFeatureMask(input.image_features, arity);
   Dataset head_data;
   head_data.dim = text_model->embed_dim() + image_model->embed_dim();
+  SparseRow x;
   for (const TrainPoint& p : input.points) {
     CM_ASSIGN_OR_RETURN(const FeatureVector* row, input.store->Get(p.id));
-    const auto e_text = text_model->Embed(
-        text_encoder.Encode(MaskRow(*row, input.text_features, arity)));
-    const auto e_image = image_model->Embed(
-        image_encoder.Encode(MaskRow(*row, input.image_features, arity)));
+    text_encoder.Encode(*row, text_mask, &x);
+    const auto e_text = text_model->Embed(x);
+    image_encoder.Encode(*row, image_mask, &x);
+    const auto e_image = image_model->Embed(x);
     Example ex;
     ex.x = ConcatEmbeddings(e_text, e_image);
     ex.target = p.target;

@@ -6,6 +6,17 @@
 
 namespace crossmodal {
 
+FeatureMask MakeFeatureMask(const std::vector<FeatureId>& allowed,
+                            size_t arity) {
+  FeatureMask mask(arity, 0);
+  for (FeatureId f : allowed) {
+    if (f >= 0 && static_cast<size_t>(f) < arity) {
+      mask[static_cast<size_t>(f)] = 1;
+    }
+  }
+  return mask;
+}
+
 Result<FeatureEncoder> FeatureEncoder::Fit(
     const FeatureSchema& schema,
     const std::vector<const FeatureVector*>& rows, EncoderOptions options) {
@@ -61,6 +72,7 @@ Result<FeatureEncoder> FeatureEncoder::Fit(
         break;
     }
     offset += slot.width;
+    encoder.max_entries_ += slot.width;
     slot.missing_slot = offset++;
     encoder.slots_.push_back(slot);
   }
@@ -70,39 +82,53 @@ Result<FeatureEncoder> FeatureEncoder::Fit(
 
 SparseRow FeatureEncoder::Encode(const FeatureVector& row) const {
   SparseRow out;
+  EncodeInto(row, /*mask=*/nullptr, &out);
+  return out;
+}
+
+void FeatureEncoder::Encode(const FeatureVector& row, const FeatureMask& mask,
+                            SparseRow* out) const {
+  out->entries.clear();
+  out->entries.reserve(max_entries_);
+  EncodeInto(row, &mask, out);
+}
+
+void FeatureEncoder::EncodeInto(const FeatureVector& row,
+                                const FeatureMask* mask,
+                                SparseRow* out) const {
   for (const Slot& slot : slots_) {
-    const FeatureValue& v = row.Get(slot.feature);
-    const bool usable = !v.is_missing() && v.type() == slot.type;
-    if (!usable) {
-      out.Add(slot.missing_slot, 1.0f);
+    const size_t f = static_cast<size_t>(slot.feature);
+    const bool admitted = mask == nullptr || (f < mask->size() && (*mask)[f]);
+    const FeatureValue* v = admitted ? &row.Get(slot.feature) : nullptr;
+    if (v == nullptr || v->is_missing() || v->type() != slot.type) {
+      out->Add(slot.missing_slot, 1.0f);
       continue;
     }
     switch (slot.type) {
       case FeatureType::kCategorical: {
-        const auto& cats = v.categories();
+        const auto& cats = v->categories();
         const float value =
             cats.size() > 1 ? 1.0f / std::sqrt(static_cast<float>(cats.size()))
                             : 1.0f;
         for (int32_t c : cats) {
           if (c < 0 || static_cast<uint32_t>(c) >= slot.width) continue;
-          out.Add(slot.offset + static_cast<uint32_t>(c), value);
+          out->Add(slot.offset + static_cast<uint32_t>(c), value);
         }
         break;
       }
       case FeatureType::kNumeric:
-        out.Add(slot.offset, static_cast<float>((v.numeric() - slot.mean) *
-                                                slot.inv_std));
+        out->Add(slot.offset, static_cast<float>((v->numeric() - slot.mean) *
+                                                 slot.inv_std));
         break;
       case FeatureType::kEmbedding: {
-        const auto& emb = v.embedding();
+        const auto& emb = v->embedding();
         for (uint32_t i = 0; i < slot.width && i < emb.size(); ++i) {
-          out.Add(slot.offset + i, emb[i]);
+          out->Add(slot.offset + i, emb[i]);
         }
         break;
       }
     }
   }
-  return out;
 }
 
 void Dataset::Append(const Dataset& other) {

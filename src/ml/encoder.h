@@ -11,6 +11,7 @@
 #ifndef CROSSMODAL_ML_ENCODER_H_
 #define CROSSMODAL_ML_ENCODER_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "features/feature_schema.h"
@@ -19,6 +20,15 @@
 #include "util/result.h"
 
 namespace crossmodal {
+
+/// Feature-membership flags indexed by FeatureId: a nonzero entry admits the
+/// feature. Built once by MakeFeatureMask and handed to
+/// FeatureEncoder::Encode so scoring can mask a row without copying it.
+using FeatureMask = std::vector<uint8_t>;
+
+/// Mask over a schema of `arity` features admitting exactly `allowed`.
+FeatureMask MakeFeatureMask(const std::vector<FeatureId>& allowed,
+                            size_t arity);
 
 /// Encoder configuration.
 struct EncoderOptions {
@@ -41,6 +51,14 @@ class FeatureEncoder {
   /// Encodes one row.
   SparseRow Encode(const FeatureVector& row) const;
 
+  /// Encodes `row` into `out` as if every feature `mask` does not admit
+  /// were missing: the same entries as Encode(MaskRow(row, allowed, arity))
+  /// for mask = MakeFeatureMask(allowed, arity), without copying the row.
+  /// `out` is cleared and reserved to the encoder's upper bound on entries,
+  /// so a reused scratch row allocates only on its first call.
+  void Encode(const FeatureVector& row, const FeatureMask& mask,
+              SparseRow* out) const;
+
   const std::vector<FeatureId>& features() const { return options_.features; }
 
  private:
@@ -53,9 +71,16 @@ class FeatureEncoder {
     double mean = 0.0, inv_std = 1.0;  ///< Numeric standardization.
   };
 
+  /// The one encode loop; a null `mask` admits every feature.
+  void EncodeInto(const FeatureVector& row, const FeatureMask* mask,
+                  SparseRow* out) const;
+
   EncoderOptions options_;
   std::vector<Slot> slots_;
   size_t dim_ = 0;
+  /// Upper bound on one row's entries: every slot emits its missing
+  /// indicator or at most `width` values.
+  size_t max_entries_ = 0;
 };
 
 }  // namespace crossmodal

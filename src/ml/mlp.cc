@@ -56,6 +56,14 @@ void FoldAndZero(std::span<double> partial, std::span<double> sum) {
   }
 }
 
+/// The calling thread's activation buffers for Predict and Embed. Forward
+/// re-assigns every layer before reading it, so reusing the buffers keeps
+/// every value and only drops the per-call allocations.
+std::vector<std::vector<double>>& ScratchActivations() {
+  thread_local std::vector<std::vector<double>> acts;
+  return acts;
+}
+
 }  // namespace
 
 void Mlp::Forward(const SparseRow& x,
@@ -269,7 +277,7 @@ Result<Mlp> Mlp::Train(const Dataset& data, const MlpOptions& options) {
 }
 
 double Mlp::Predict(const SparseRow& x) const {
-  std::vector<std::vector<double>> acts;
+  std::vector<std::vector<double>>& acts = ScratchActivations();
   Forward(x, &acts);
   double logit = out_bias_;
   const auto& last = acts.back();
@@ -278,7 +286,7 @@ double Mlp::Predict(const SparseRow& x) const {
 }
 
 std::vector<double> Mlp::Embed(const SparseRow& x) const {
-  std::vector<std::vector<double>> acts;
+  std::vector<std::vector<double>>& acts = ScratchActivations();
   Forward(x, &acts);
   return acts.back();
 }

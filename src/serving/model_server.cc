@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "util/check.h"
 #include "util/timer.h"
@@ -21,6 +22,30 @@ double NearestRankPercentile(const std::vector<double>& sorted, double q) {
   return sorted[std::min(rank, n) - 1];
 }
 
+namespace {
+
+/// Fails unless every id in `features` names a servable schema feature.
+Status CheckServable(const FeatureSchema& schema,
+                     const std::vector<FeatureId>& features,
+                     const char* what) {
+  for (FeatureId f : features) {
+    if (f < 0 || static_cast<size_t>(f) >= schema.size()) {
+      return Status::InvalidArgument(std::string("unknown ") + what +
+                                     " id " + std::to_string(f));
+    }
+    const FeatureDef& def = schema.def(f);
+    if (!def.servable) {
+      return Status::FailedPrecondition(
+          "model requires nonservable feature '" + def.name +
+          "'; nonservable features may only feed offline training-data "
+          "curation (see §6.4)");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<ModelServer> ModelServer::Create(
     CrossModalModelPtr model, const FeatureSchema* schema,
     std::vector<FeatureId> serving_features) {
@@ -33,62 +58,20 @@ Result<ModelServer> ModelServer::Create(
     std::vector<FeatureId> serving_features) {
   if (model == nullptr) return Status::InvalidArgument("model is null");
   if (schema == nullptr) return Status::InvalidArgument("schema is null");
-  for (FeatureId f : serving_features) {
-    if (f < 0 || static_cast<size_t>(f) >= schema->size()) {
-      return Status::InvalidArgument("unknown serving feature id " +
-                                     std::to_string(f));
-    }
-    const FeatureDef& def = schema->def(f);
-    if (!def.servable) {
-      return Status::FailedPrecondition(
-          "model requires nonservable feature '" + def.name +
-          "'; nonservable features may only feed offline training-data "
-          "curation (see §6.4)");
-    }
-  }
-  return ModelServer(std::move(model), schema, std::move(serving_features));
+  CM_RETURN_IF_ERROR(
+      CheckServable(*schema, serving_features, "serving feature"));
+  CM_RETURN_IF_ERROR(
+      CheckServable(*schema, model->input_features(), "model input feature"));
+  return ModelServer(std::move(model));
 }
 
-ModelServer::ModelServer(std::shared_ptr<const CrossModalModel> model,
-                         const FeatureSchema* schema,
-                         std::vector<FeatureId> serving_features)
+ModelServer::ModelServer(std::shared_ptr<const CrossModalModel> model)
     : model_(std::move(model)),
-      schema_(schema),
-      serving_features_(std::move(serving_features)),
-      stats_mu_(std::make_unique<Mutex>("model_server_stats")) {
-  for (size_t f = 0; f < schema_->size(); ++f) {
-    if (!schema_->def(static_cast<FeatureId>(f)).servable) {
-      nonservable_.push_back(static_cast<FeatureId>(f));
-    }
-  }
-}
-
-double ModelServer::ScoreInternal(const FeatureVector& row) {
-  if (nonservable_.empty()) return model_->Score(row);
-  bool needs_strip = false;
-  for (FeatureId f : nonservable_) {
-    if (!row.Get(f).is_missing()) {
-      needs_strip = true;
-      break;
-    }
-  }
-  if (!needs_strip) return model_->Score(row);
-  FeatureVector stripped(row.size());
-  for (size_t f = 0; f < row.size(); ++f) {
-    const FeatureId id = static_cast<FeatureId>(f);
-    if (std::find(nonservable_.begin(), nonservable_.end(), id) !=
-        nonservable_.end()) {
-      continue;
-    }
-    const FeatureValue& v = row.Get(id);
-    if (!v.is_missing()) stripped.Set(id, v);
-  }
-  return model_->Score(stripped);
-}
+      stats_mu_(std::make_unique<Mutex>("model_server_stats")) {}
 
 double ModelServer::Score(const FeatureVector& row) {
   Timer timer;
-  const double score = ScoreInternal(row);
+  const double score = model_->Score(row);
   const double elapsed_us = timer.ElapsedSeconds() * 1e6;
   MutexLock lock(stats_mu_.get());
   latencies_us_.push_back(elapsed_us);
@@ -104,7 +87,7 @@ std::vector<double> ModelServer::ScoreBatch(
   for (const FeatureVector* row : rows) {
     CM_CHECK(row != nullptr);
     Timer timer;
-    out.push_back(ScoreInternal(*row));
+    out.push_back(model_->Score(*row));
     elapsed_us.push_back(timer.ElapsedSeconds() * 1e6);
   }
   // One acquisition for the whole batch keeps the stats lock off the

@@ -3,8 +3,10 @@
 //
 // Two constraints from the paper's production setting are enforced here:
 //   * nonservable features must never be required at inference time (§6.4)
-//     — the server validates the model's serving feature list at creation
-//     and strips nonservable slots from incoming rows as defense in depth;
+//     — Create refuses a model whose serving feature list or whose
+//     CrossModalModel::input_features() names a nonservable feature, so a
+//     served model never reads one and rows are scored as they arrive, with
+//     no per-request copy or strip;
 //   * user-facing models need low inference latency — the server records
 //     per-request latency and reports count/mean/p50/p95/max.
 
@@ -51,9 +53,10 @@ struct LatencyStats {
 class ModelServer {
  public:
   /// Validates `serving_features` (the features the deployed model reads)
-  /// against the schema's servability flags. Fails with InvalidArgument on
-  /// an id outside the schema and with FailedPrecondition naming the
-  /// offending feature when one is nonservable.
+  /// and the model's own input_features() against the schema's servability
+  /// flags. Fails with InvalidArgument on an id outside the schema and with
+  /// FailedPrecondition naming the offending feature when one is
+  /// nonservable.
   [[nodiscard]] static Result<ModelServer> Create(
       CrossModalModelPtr model, const FeatureSchema* schema,
       std::vector<FeatureId> serving_features);
@@ -83,16 +86,9 @@ class ModelServer {
   size_t requests() const CM_LOCKS_EXCLUDED(stats_mu_);
 
  private:
-  ModelServer(std::shared_ptr<const CrossModalModel> model,
-              const FeatureSchema* schema,
-              std::vector<FeatureId> serving_features);
-
-  double ScoreInternal(const FeatureVector& row);
+  explicit ModelServer(std::shared_ptr<const CrossModalModel> model);
 
   std::shared_ptr<const CrossModalModel> model_;
-  const FeatureSchema* schema_;
-  std::vector<FeatureId> serving_features_;
-  std::vector<FeatureId> nonservable_;  // ids to strip from inputs
   // unique_ptr keeps ModelServer movable (Result<ModelServer> needs it)
   // while giving the latency log a stable, annotated lock.
   std::unique_ptr<Mutex> stats_mu_;

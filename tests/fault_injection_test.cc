@@ -474,6 +474,8 @@ class ServingStubModel : public CrossModalModel {
     }
     return acc;
   }
+  /// The numeric slots of the schema it is served with.
+  std::vector<FeatureId> input_features() const override { return {0, 1}; }
   const char* method_name() const override { return "stub"; }
 };
 

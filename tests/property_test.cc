@@ -362,6 +362,8 @@ class ServingStubModel : public CrossModalModel {
     }
     return 0.5 + 0.5 * std::sin(acc);
   }
+  /// The numeric slots of the schema it is served with.
+  std::vector<FeatureId> input_features() const override { return {0, 1, 2}; }
   const char* method_name() const override { return "stub"; }
 };
 

@@ -24,6 +24,16 @@
 namespace crossmodal {
 namespace {
 
+constexpr size_t kFeatures = 3;
+
+std::vector<FeatureId> AllFeatures() {
+  std::vector<FeatureId> ids;
+  for (size_t f = 0; f < kFeatures; ++f) {
+    ids.push_back(static_cast<FeatureId>(f));
+  }
+  return ids;
+}
+
 /// Score depends on every populated slot, so a row swapped between two
 /// requests changes the answer — cross-wiring cannot pass unnoticed.
 class StubModel : public CrossModalModel {
@@ -38,10 +48,11 @@ class StubModel : public CrossModalModel {
     }
     return 0.5 + 0.5 * std::sin(acc);
   }
+  std::vector<FeatureId> input_features() const override {
+    return AllFeatures();
+  }
   const char* method_name() const override { return "stub"; }
 };
-
-constexpr size_t kFeatures = 3;
 
 FeatureSchema MakeSchema() {
   FeatureSchema schema;
@@ -52,14 +63,6 @@ FeatureSchema MakeSchema() {
     CM_CHECK(schema.Add(def).ok());
   }
   return schema;
-}
-
-std::vector<FeatureId> AllFeatures() {
-  std::vector<FeatureId> ids;
-  for (size_t f = 0; f < kFeatures; ++f) {
-    ids.push_back(static_cast<FeatureId>(f));
-  }
-  return ids;
 }
 
 FeatureVector MakeRow(EntityId id) {

@@ -112,6 +112,39 @@ TEST_F(ServingTest, RejectsNonservableFeatures) {
             std::string::npos);
 }
 
+TEST_F(ServingTest, RefusesModelThatReadsNonservableFeature) {
+  // A model trained with content_risk_score in its image channel reads it in
+  // Score. Create refuses it even though the serving list passed is clean.
+  auto risk = registry_->schema().Find("content_risk_score");
+  ASSERT_TRUE(risk.ok());
+  FusionInput input;
+  input.store = &pipeline_->store();
+  input.text_features = pipeline_->selection().text_model_features;
+  input.image_features = pipeline_->selection().image_model_features;
+  input.image_features.push_back(*risk);
+  for (size_t i = 0; i < 100 && i < corpus_.text_labeled.size(); ++i) {
+    const Entity& e = corpus_.text_labeled[i];
+    input.points.push_back(TrainPoint{e.id, Modality::kText,
+                                      e.label == 1 ? 1.0f : 0.0f, 1.0f});
+  }
+  for (size_t i = 0; i < 100 && i < corpus_.image_unlabeled.size(); ++i) {
+    const Entity& e = corpus_.image_unlabeled[i];
+    input.points.push_back(TrainPoint{e.id, Modality::kImage,
+                                      e.label == 1 ? 0.9f : 0.1f, 1.0f});
+  }
+  ModelSpec spec;
+  spec.kind = ModelKind::kLogisticRegression;
+  spec.train.epochs = 1;
+  auto model = TrainEarlyFusion(input, spec);
+  ASSERT_TRUE(model.ok()) << model.status();
+  auto server =
+      ModelServer::Create(std::move(*model), &registry_->schema(),
+                          pipeline_->selection().image_model_features);
+  EXPECT_EQ(server.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(server.status().message().find("content_risk_score"),
+            std::string::npos);
+}
+
 TEST_F(ServingTest, StripsNonservableInputs) {
   auto risk = registry_->schema().Find("content_risk_score");
   ASSERT_TRUE(risk.ok());

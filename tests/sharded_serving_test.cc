@@ -20,6 +20,16 @@
 namespace crossmodal {
 namespace {
 
+constexpr size_t kFeatures = 4;
+
+std::vector<FeatureId> AllFeatures() {
+  std::vector<FeatureId> ids;
+  for (size_t f = 0; f < kFeatures; ++f) {
+    ids.push_back(static_cast<FeatureId>(f));
+  }
+  return ids;
+}
+
 /// Deterministic model over numeric slots — cheap enough that the suite
 /// needs no pipeline training, nonlinear enough that row mix-ups change the
 /// score.
@@ -35,10 +45,11 @@ class StubModel : public CrossModalModel {
     }
     return 0.5 + 0.5 * std::sin(acc);
   }
+  std::vector<FeatureId> input_features() const override {
+    return AllFeatures();
+  }
   const char* method_name() const override { return "stub"; }
 };
-
-constexpr size_t kFeatures = 4;
 
 FeatureSchema MakeSchema() {
   FeatureSchema schema;
@@ -49,14 +60,6 @@ FeatureSchema MakeSchema() {
     CM_CHECK(schema.Add(def).ok());
   }
   return schema;
-}
-
-std::vector<FeatureId> AllFeatures() {
-  std::vector<FeatureId> ids;
-  for (size_t f = 0; f < kFeatures; ++f) {
-    ids.push_back(static_cast<FeatureId>(f));
-  }
-  return ids;
 }
 
 /// Row contents are a pure function of (seed, entity id).
