@@ -16,10 +16,10 @@
 #include "audit/determinism.h"
 #include "core/feature_selection.h"
 #include "dataflow/feature_generation.h"
+#include "fusion/fusion.h"
 #include "graph/knn_graph.h"
 #include "graph/label_propagation.h"
 #include "labeling/label_model.h"
-#include "fusion/fusion.h"
 #include "mining/itemset_miner.h"
 #include "ml/encoder.h"
 #include "ml/trainer.h"

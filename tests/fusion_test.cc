@@ -177,7 +177,6 @@ TEST_F(FusionTest, DeterministicGivenSeed) {
 
 using fusion_internal::BuildDataset;
 using fusion_internal::CollectRows;
-using fusion_internal::MaskedRows;
 using fusion_internal::Projection;
 using fusion_internal::UnionFeatures;
 
