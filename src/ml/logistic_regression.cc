@@ -17,13 +17,6 @@ double Sigmoid(double z) {
   return e / (1.0 + e);
 }
 
-std::vector<double> PredictAll(const Model& model,
-                               const std::vector<SparseRow>& rows) {
-  std::vector<double> out(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) out[i] = model.Predict(rows[i]);
-  return out;
-}
-
 Result<LogisticRegression> LogisticRegression::Train(
     const Dataset& data, const TrainOptions& options) {
   if (data.empty()) return Status::InvalidArgument("empty training set");

@@ -63,10 +63,6 @@ class Model {
 
 using ModelPtr = std::unique_ptr<Model>;
 
-/// Batch scoring helper.
-std::vector<double> PredictAll(const Model& model,
-                               const std::vector<SparseRow>& rows);
-
 /// Numerically safe logistic function.
 double Sigmoid(double z);
 

@@ -67,7 +67,7 @@ class ServingShard {
     if (!TryEnqueue(entity, row, &promise)) {
       promise.set_value(Status::Unavailable(
           "shard " + std::to_string(index_) +
-          " queue over watermark; request shed"));
+          " queue full; request shed"));
       return ticket;
     }
     work_cv_.notify_one();
@@ -112,7 +112,7 @@ class ServingShard {
       CM_LOCKS_EXCLUDED(mu_) {
     MutexLock lock(&mu_);
     ++submitted_;
-    if (stopping_ || queue_.size() >= options_.shed_watermark) {
+    if (stopping_ || queue_.size() >= options_.queue_capacity) {
       ++shed_;
       return false;
     }
@@ -247,10 +247,6 @@ Result<ShardedServer> ShardedServer::Create(
   }
   if (options.queue_capacity == 0) {
     return Status::InvalidArgument("queue_capacity must be >= 1");
-  }
-  if (options.shed_watermark == 0 ||
-      options.shed_watermark > options.queue_capacity) {
-    options.shed_watermark = options.queue_capacity;
   }
   const FaultPlan::Entry* serving_entry =
       fault_plan.ExactEntry(kServingFaultService);

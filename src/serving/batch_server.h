@@ -5,8 +5,8 @@
 //
 //   Submit(entity, row)
 //     └─ ShardRouter::ShardOf(entity)          pure fn of (seed, entity)
-//         └─ shard's bounded MPMC queue        shed kUnavailable past the
-//            │                                 queue-depth watermark
+//         └─ shard's bounded MPMC queue        shed kUnavailable once it
+//            │                                 holds queue_capacity
 //            └─ shard worker thread            flush on max_batch or
 //               │                              batch_window_us (virtual
 //               │                              clock by default: the window
@@ -56,16 +56,14 @@ struct ShardedServingOptions {
   /// for max_batch to fill; by default the window is only *accounted* into
   /// the shard's virtual clock so tests never sleep.
   uint64_t batch_window_us = 200;
-  /// Bounded queue capacity per shard (>= 1).
+  /// Per-shard queue depth (>= 1): admission control sheds arrivals once
+  /// the queue holds this many requests.
   size_t queue_capacity = 1024;
-  /// Admission control sheds arrivals once the queue holds this many
-  /// requests; 0 means "at capacity". Clamped to queue_capacity.
-  size_t shed_watermark = 0;
   /// Wait out batch_window_us on the wall clock instead of the virtual one.
   /// Benchmarks only — keep off in tests.
   bool real_time_batching = false;
   /// Start with workers paused so tests can fill queues deterministically;
-  /// Resume() starts draining. Arrivals past the watermark still shed.
+  /// Resume() starts draining. Arrivals past queue_capacity still shed.
   bool start_paused = false;
   /// Seed of the entity -> shard hash (see ShardRouter).
   uint64_t route_seed = 0x5EED;
@@ -170,7 +168,7 @@ class ShardedServer {
   ShardedServer& operator=(ShardedServer&&);
 
   /// Routes and enqueues one request (the row is copied). Never blocks on a
-  /// full queue: past the watermark the ticket resolves kUnavailable.
+  /// full queue: past queue_capacity the ticket resolves kUnavailable.
   Ticket Submit(EntityId entity, const FeatureVector& row);
 
   /// Submit + Wait.

@@ -1,6 +1,7 @@
 #include "serving/model_server.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string>
 
@@ -9,20 +10,15 @@
 
 namespace crossmodal {
 
-double NearestRankPercentile(const std::vector<double>& sorted, double q) {
-  CM_CHECK(!sorted.empty());
+namespace {
+
+/// Nearest rank ceil(q * n), clamped to [1, n].
+size_t NearestRank(size_t n, double q) {
   CM_DCHECK_GE(q, 0.0);
   CM_DCHECK_LE(q, 1.0);
-  const size_t n = sorted.size();
-  // rank = ceil(q * n) in [1, n]; index = rank - 1. The old +0.5 rounding
-  // over (n - 1) read past the intended rank at small counts (e.g. p50 of
-  // two samples returned the larger one).
   const double raw = std::ceil(q * static_cast<double>(n));
-  const size_t rank = raw < 1.0 ? 1 : static_cast<size_t>(raw);
-  return sorted[std::min(rank, n) - 1];
+  return raw < 1.0 ? 1 : std::min(static_cast<size_t>(raw), n);
 }
-
-namespace {
 
 /// Fails unless every id in `features` names a servable schema feature.
 Status CheckServable(const FeatureSchema& schema,
@@ -45,6 +41,59 @@ Status CheckServable(const FeatureSchema& schema,
 }
 
 }  // namespace
+
+double NearestRankPercentile(const std::vector<double>& sorted, double q) {
+  CM_CHECK(!sorted.empty());
+  return sorted[NearestRank(sorted.size(), q) - 1];
+}
+
+size_t LatencyHistogram::BucketOf(double us) {
+  // IEEE-754 bits of the covered range's ends: biased exponent << 52.
+  constexpr uint64_t kLowBits = uint64_t{1023 + kMinExponent - 1} << 52;
+  constexpr uint64_t kHighBits = uint64_t{1023 + kMaxExponent} << 52;
+  // Written so that NaN lands low and +inf high.
+  if (!(us >= std::bit_cast<double>(kLowBits))) return 0;
+  if (!(us < std::bit_cast<double>(kHighBits))) return kBuckets - 1;
+  // A positive double's bits >> 47 are its biased exponent followed by the
+  // top log2(K) = 5 fraction bits: (octave, bucket within it), in order.
+  static_assert(kSubBuckets == 32);
+  return (std::bit_cast<uint64_t>(us) - kLowBits) >> 47;
+}
+
+double LatencyHistogram::BucketMidpoint(size_t bucket) {
+  // Bucket (e, s) spans 2^(e-1) * [1 + s/K, 1 + (s+1)/K).
+  const int exponent = static_cast<int>(bucket / kSubBuckets) + kMinExponent;
+  const double sub = static_cast<double>(bucket % kSubBuckets);
+  return std::ldexp(1.0 + (sub + 0.5) / kSubBuckets, exponent - 1);
+}
+
+void LatencyHistogram::Record(double us) {
+  ++buckets_[BucketOf(us)];
+  ++count_;
+  sum_us_ += us;
+  max_us_ = std::max(max_us_, us);
+}
+
+double LatencyHistogram::Percentile(double q) const {
+  const size_t rank = NearestRank(count_, q);
+  size_t bucket = 0;
+  for (uint64_t seen = buckets_[0]; seen < rank; seen += buckets_[bucket]) {
+    ++bucket;
+  }
+  return std::min(BucketMidpoint(bucket), max_us_);
+}
+
+LatencyStats LatencyHistogram::Summary() const {
+  LatencyStats stats;
+  stats.count = count_;
+  if (count_ == 0) return stats;
+  stats.mean_us = sum_us_ / static_cast<double>(count_);
+  stats.p50_us = Percentile(0.50);
+  stats.p95_us = Percentile(0.95);
+  stats.p100_us = max_us_;
+  stats.max_us = max_us_;
+  return stats;
+}
 
 Result<ModelServer> ModelServer::Create(
     CrossModalModelPtr model, const FeatureSchema* schema,
@@ -74,7 +123,7 @@ double ModelServer::Score(const FeatureVector& row) {
   const double score = model_->Score(row);
   const double elapsed_us = timer.ElapsedSeconds() * 1e6;
   MutexLock lock(stats_mu_.get());
-  latencies_us_.push_back(elapsed_us);
+  latencies_.Record(elapsed_us);
   return score;
 }
 
@@ -93,34 +142,18 @@ std::vector<double> ModelServer::ScoreBatch(
   // One acquisition for the whole batch keeps the stats lock off the
   // per-row hot path while preserving Score's per-request latency contract.
   MutexLock lock(stats_mu_.get());
-  latencies_us_.insert(latencies_us_.end(), elapsed_us.begin(),
-                       elapsed_us.end());
+  for (double us : elapsed_us) latencies_.Record(us);
   return out;
 }
 
 size_t ModelServer::requests() const {
   MutexLock lock(stats_mu_.get());
-  return latencies_us_.size();
+  return latencies_.count();
 }
 
 LatencyStats ModelServer::latency() const {
-  std::vector<double> sorted;
-  {
-    MutexLock lock(stats_mu_.get());
-    sorted = latencies_us_;
-  }
-  LatencyStats stats;
-  stats.count = sorted.size();
-  if (sorted.empty()) return stats;
-  std::sort(sorted.begin(), sorted.end());
-  double total = 0.0;
-  for (double v : sorted) total += v;
-  stats.mean_us = total / static_cast<double>(sorted.size());
-  stats.p50_us = NearestRankPercentile(sorted, 0.50);
-  stats.p95_us = NearestRankPercentile(sorted, 0.95);
-  stats.p100_us = NearestRankPercentile(sorted, 1.0);
-  stats.max_us = sorted.back();
-  return stats;
+  MutexLock lock(stats_mu_.get());
+  return latencies_.Summary();
 }
 
 }  // namespace crossmodal

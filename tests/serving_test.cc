@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "core/pipeline.h"
 #include "serving/model_server.h"
 #include "synth/corpus_generator.h"
+#include "util/random.h"
 
 namespace crossmodal {
 namespace {
@@ -255,6 +258,46 @@ TEST(NearestRankPercentileTest, TwentySamples) {
   EXPECT_EQ(NearestRankPercentile(sorted, 1.0), 20.0);
   // q just over a rank boundary moves up one rank, never interpolates.
   EXPECT_EQ(NearestRankPercentile(sorted, 0.951), 20.0);
+}
+
+// ---- LatencyHistogram ------------------------------------------------------
+
+TEST(LatencyHistogramTest, PercentilesWithinStatedErrorOfNearestRank) {
+  Rng rng(24);
+  for (size_t n : {size_t{1}, size_t{2}, size_t{7}, size_t{1000},
+                   size_t{50000}}) {
+    // Log-uniform over most of the covered range, plus a cluster of typical
+    // serving latencies so many samples share a bucket.
+    std::vector<double> samples;
+    for (size_t i = 0; i < n; ++i) {
+      samples.push_back(rng.Bernoulli(0.5)
+                            ? std::exp2(rng.Uniform(-10.0, 31.0))
+                            : rng.Uniform(2.0, 40.0));
+    }
+    LatencyHistogram histogram;
+    double sum = 0.0;
+    for (double us : samples) {
+      histogram.Record(us);
+      sum += us;
+    }
+    std::sort(samples.begin(), samples.end());
+    const LatencyStats stats = histogram.Summary();
+    EXPECT_EQ(histogram.count(), n);
+    EXPECT_EQ(stats.count, n);
+    EXPECT_EQ(stats.mean_us, sum / static_cast<double>(n));
+    EXPECT_EQ(stats.max_us, samples.back());
+    EXPECT_EQ(stats.p100_us, samples.back());
+    const double bound = LatencyHistogram::kMaxRelativeError;
+    const double p50 = NearestRankPercentile(samples, 0.50);
+    const double p95 = NearestRankPercentile(samples, 0.95);
+    EXPECT_LE(std::abs(stats.p50_us - p50), bound * p50) << "n=" << n;
+    EXPECT_LE(std::abs(stats.p95_us - p95), bound * p95) << "n=" << n;
+    EXPECT_LE(stats.p95_us, stats.max_us);
+  }
+  const LatencyStats empty = LatencyHistogram().Summary();
+  EXPECT_EQ(empty.count, 0u);
+  EXPECT_EQ(empty.p50_us, 0.0);
+  EXPECT_EQ(empty.max_us, 0.0);
 }
 
 }  // namespace

@@ -190,8 +190,7 @@ TEST(ShardedServerTest, PausedServerShedsPastWatermark) {
   ShardedServingOptions options;
   options.num_shards = 1;
   options.max_batch = 4;
-  options.queue_capacity = 8;
-  options.shed_watermark = 4;
+  options.queue_capacity = 4;
   options.start_paused = true;  // deterministic queue occupancy
   auto server = ShardedServer::Create(model, &schema, AllFeatures(), options);
   ASSERT_TRUE(server.ok());
@@ -203,7 +202,7 @@ TEST(ShardedServerTest, PausedServerShedsPastWatermark) {
   {
     const ShardedStats stats = server->stats();
     EXPECT_EQ(stats.submitted(), 10u);
-    EXPECT_EQ(stats.shed(), 6u);  // 4 queued (watermark), 6 shed
+    EXPECT_EQ(stats.shed(), 6u);  // 4 queued (capacity), 6 shed
     EXPECT_EQ(stats.shards[0].queue_high_water, 4u);
   }
   server->Resume();
