@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Repo static checks: cmcheck over the tree, and clang-tidy when available.
 # Registered as the `run_checks` ctest test, the one ctest entry that runs
-# the cmcheck tree pass (the self-test runs in the `cmcheck_selftest` entry);
-# also runnable by hand:
+# the cmcheck tree pass (the self-test runs in the `cmdeps`/`cmrace`/`cmlife`
+# and `*_selftest` entries); also runnable by hand:
 #
 #   tools/run_checks.sh <cmcheck-bin> <repo-root> [build-dir]
 #
